@@ -2,9 +2,10 @@
 
 The generator rho_dot = -i[H, rho] + sum_k gamma_k (L_k rho L_k+ - {L_k+ L_k, rho}/2)
 is materialized as a dense superoperator acting on column-stacked vectorized
-density matrices, vec(A X B) = (B^T kron A) vec(X). The spectral decomposition
-is computed eagerly at build time and drives both propagation and the
-steady-state solve; an independent adaptive Runge-Kutta integrator provides
+density matrices, vec(A X B) = (B^T kron A) vec(X). The steady state is one
+LU solve of the superoperator with the trace condition substituted for its
+first row. The spectral decomposition is computed lazily, on first use, and
+drives propagation; an independent adaptive Runge-Kutta integrator provides
 the cross-check path and the fallback for ill-conditioned eigenbases.
 """
 
@@ -12,10 +13,11 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
-from scipy.integrate import solve_ivp
+from scipy.linalg.lapack import zgecon, zgetrf, zgetrs
 
 from .operators import (
     DensityMatrix,
@@ -28,7 +30,11 @@ from .operators import (
 # residual and drift tolerances, about 100x the double-precision noise
 # floor at total_dim <= 16
 RESIDUAL_TOL = 1e-10
-DEGENERACY_TOL = 1e-10
+# reciprocal condition number of the bordered steady-state matrix below which
+# the kernel counts as degenerate; it tracks the second-smallest |eigenvalue|
+# (about 0.13x) and sits between healthy cells (>= 2e-8) and decoupled
+# sectors (~1e-19)
+RCOND_TOL = 1e-11
 TRACE_DRIFT_TOL = 1e-9
 STEADY_EIG_TOL = 1e-9
 EVOLVED_EIG_TOL = 1e-8
@@ -80,21 +86,38 @@ def unvec(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Liouvillian:
-    """Dense Lindblad superoperator with an eagerly computed spectral cache.
+    """Dense Lindblad superoperator with a lazily computed spectral cache.
 
+    The eigendecomposition (eigenvalues, right eigenvectors as columns, their
+    inverse and its condition number) is computed once, on first access to
+    any of those attributes; the steady-state solve never touches it.
     Immutable after construction; safe to share across sweep workers.
     """
 
     layout: SpaceLayout
     superop: np.ndarray = field(repr=False)
-    eigenvalues: np.ndarray = field(repr=False)
-    eigenvectors: np.ndarray = field(repr=False)     # right eigenvectors, columns
-    eigenvectors_inv: np.ndarray = field(repr=False)
-    condition: float
 
     @property
     def dim(self) -> int:
         return self.layout.total_dim
+
+    @cached_property
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        vals, vecs = scipy.linalg.eig(self.superop)
+        try:
+            cond = float(np.linalg.cond(vecs))
+            vecs_inv = np.linalg.inv(vecs)
+        except np.linalg.LinAlgError:
+            cond = np.inf
+            vecs_inv = np.full_like(vecs, np.nan)
+        for arr in (vals, vecs, vecs_inv):
+            arr.flags.writeable = False
+        return vals, vecs, vecs_inv, cond
+
+    eigenvalues = property(lambda self: self._spectrum[0])
+    eigenvectors = property(lambda self: self._spectrum[1])  # right eigenvectors, columns
+    eigenvectors_inv = property(lambda self: self._spectrum[2])
+    condition = property(lambda self: self._spectrum[3])
 
     @property
     def spectral_ok(self) -> bool:
@@ -140,18 +163,11 @@ def build_liouvillian(h: np.ndarray, jumps: list[JumpTerm] | tuple[JumpTerm, ...
         sop += j.rate * (np.kron(op.conj(), op)
                          - 0.5 * np.kron(eye, opdop)
                          - 0.5 * np.kron(opdop.T, eye))
+    if not np.all(np.isfinite(sop)):
+        raise ValueError("superoperator has non-finite entries")
 
-    vals, vecs = scipy.linalg.eig(sop)
-    try:
-        cond = float(np.linalg.cond(vecs))
-        vecs_inv = np.linalg.inv(vecs)
-    except np.linalg.LinAlgError:
-        cond = np.inf
-        vecs_inv = np.full_like(vecs, np.nan)
-    sop = sop.copy()
-    for arr in (sop, vals, vecs, vecs_inv):
-        arr.flags.writeable = False
-    return Liouvillian(layout, sop, vals, vecs, vecs_inv, cond)
+    sop.flags.writeable = False
+    return Liouvillian(layout, sop)
 
 
 def apply_liouvillian(l: Liouvillian, rho: DensityMatrix | np.ndarray) -> np.ndarray:
@@ -193,6 +209,8 @@ def _spectral_propagate(l: Liouvillian, m0: np.ndarray, times: np.ndarray) -> np
 
 def _rk_propagate(l: Liouvillian, m0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Adaptive RK 4(5) integration of the vectorized master equation."""
+    from scipy.integrate import solve_ivp  # deferred: costly import, rarely used
+
     y0 = vec(m0)
     if times[-1] == 0.0:
         return np.tile(y0[:, None], (1, times.size))
@@ -260,62 +278,44 @@ def _trace_row(d: int) -> np.ndarray:
 def steady_state(l: Liouvillian) -> DensityMatrix:
     """Unique fixed point of the generator.
 
-    Computed from the kernel eigenvector of the superoperator (smallest
-    eigenvalue magnitude), hermitized and trace-normalized. A direct
-    linear solve with the trace constraint substituted for one row is used
-    as refinement if the eigenvector residual misses the 1e-10 contract.
+    One LU solve of the superoperator with its first row replaced by the
+    trace condition Tr(rho) = 1; the solution is hermitized and
+    trace-normalized. The reciprocal condition number of the same LU factor
+    decides whether the kernel is unique.
 
     Raises
     ------
     DegenerateSteadyStateError
-        If two eigenvalues have magnitude < 1e-10 (decoupled sectors).
+        If the bordered matrix is singular or its reciprocal condition
+        number is below 1e-11 (decoupled sectors).
     NumericalError
         If the residual stays above 1e-10 or the state has an eigenvalue
         below -1e-9.
     """
-    mags = np.abs(l.eigenvalues)
-    order = np.argsort(mags)
-    if mags.size > 1 and mags[order[1]] < DEGENERACY_TOL:
-        raise DegenerateSteadyStateError(
-            "Liouvillian kernel is degenerate (two eigenvalues below "
-            f"{DEGENERACY_TOL:.0e}: {l.eigenvalues[order[0]]:.3e}, "
-            f"{l.eigenvalues[order[1]]:.3e}); no unique steady state. "
-            "This signals a decoupled-sector parameter choice.")
-
-    candidates = []
-    if np.all(np.isfinite(l.eigenvectors)):
-        v = unvec(l.eigenvectors[:, order[0]])
-        tr = np.trace(v)
-        if abs(tr) > 1e-12:
-            candidates.append(hermitize(v / tr))
-
     d = l.dim
-    a = np.array(l.superop)
+    a = np.array(l.superop, order="F")
     a[0, :] = _trace_row(d)
+    anorm = np.linalg.norm(a, 1)
+    lu, piv, info = zgetrf(a, overwrite_a=True)
+    rcond = zgecon(lu, anorm)[0] if info == 0 else 0.0
+    if rcond < RCOND_TOL:
+        raise DegenerateSteadyStateError(
+            f"Liouvillian kernel is degenerate (reciprocal condition {rcond:.3e} of "
+            f"the trace-bordered generator is below {RCOND_TOL:.0e}); no unique "
+            "steady state. This signals a decoupled-sector parameter choice.")
     b = np.zeros(d * d, dtype=complex)
     b[0] = 1.0
-    try:
-        candidates.append(hermitize(unvec(np.linalg.solve(a, b))))
-    except np.linalg.LinAlgError:
-        pass
-
-    best = None
-    best_res = np.inf
-    for m in candidates:
-        m = m / np.trace(m).real
-        res = float(np.max(np.abs(l.superop @ vec(m))))
-        if res < best_res:
-            best, best_res = m, res
-    if best is None:
-        raise NumericalError("steady-state solve failed on all paths")
-    if best_res >= RESIDUAL_TOL:
+    m = hermitize(unvec(zgetrs(lu, piv, b)[0]))
+    m = m / np.trace(m).real
+    res = float(np.max(np.abs(l.superop @ vec(m))))
+    if res >= RESIDUAL_TOL:
         raise NumericalError(
-            f"steady-state residual {best_res:.3e} exceeds {RESIDUAL_TOL:.0e}")
-    min_eig = float(np.linalg.eigvalsh(best).min())
+            f"steady-state residual {res:.3e} exceeds {RESIDUAL_TOL:.0e}")
+    min_eig = float(np.linalg.eigvalsh(m).min())
     if min_eig < -STEADY_EIG_TOL:
         raise NumericalError(
             f"steady state has negative eigenvalue {min_eig:.3e} below -{STEADY_EIG_TOL:.0e}")
-    return DensityMatrix(l.layout, best, STEADY_EIG_TOL)
+    return DensityMatrix(l.layout, m, STEADY_EIG_TOL)
 
 
 def steady_state_residual(l: Liouvillian, rho: DensityMatrix) -> float:

@@ -45,16 +45,12 @@ class ConcurrenceResult:
 _SY_SY = np.kron(np.array([[0, -1j], [1j, 0]]), np.array([[0, -1j], [1j, 0]]))
 
 
-def concurrence(rho2q: DensityMatrix, take_sqrt: bool = True) -> ConcurrenceResult:
+def concurrence(rho2q: DensityMatrix) -> ConcurrenceResult:
     """Wootters concurrence of a two-qubit density matrix.
 
     Computes the spin-flipped state rho_tilde = (sy x sy) rho* (sy x sy),
     takes the square roots of the eigenvalues of rho @ rho_tilde sorted
     descending, and returns max(0, l1 - l2 - l3 - l4) clamped to [0, 1].
-
-    take_sqrt=False skips the square root, reproducing a literal
-    eigenvalues-of-the-product variant for comparison; the standard
-    definition (default) is the one with the correct pure-state limits.
     """
     if rho2q.layout.dims != (2, 2):
         raise ValueError(f"concurrence needs a [2, 2] state, got layout {rho2q.layout.dims}")
@@ -72,7 +68,7 @@ def concurrence(rho2q: DensityMatrix, take_sqrt: bool = True) -> ConcurrenceResu
     sqrt_rho = (u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T
     b = sqrt_rho @ _SY_SY @ sqrt_rho.conj()
     sv = np.linalg.svd(b, compute_uv=False)
-    lam = np.sort(sv if take_sqrt else sv**2)[::-1]
+    lam = np.sort(sv)[::-1]
     value = float(min(1.0, max(0.0, lam[0] - lam[1] - lam[2] - lam[3])))
     return ConcurrenceResult(value=value, lambdas=tuple(float(x) for x in lam))
 

@@ -1,7 +1,10 @@
 """Tests for the vectorized Lindblad generator, propagation, and steady states."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ddesim import (
     DegenerateSteadyStateError,
@@ -14,7 +17,12 @@ from ddesim import (
     apply_liouvillian,
     build_full_model,
     build_liouvillian,
+    concurrence,
+    default_tau_max,
     evolve,
+    g2_trace,
+    g2_zero,
+    partial_trace,
     steady_state,
     truncation_check,
 )
@@ -75,6 +83,11 @@ def test_build_liouvillian_rejects_non_hermitian():
         build_liouvillian(SIGMA_PLUS, [])
     with pytest.raises(ValueError):
         build_liouvillian(np.eye(4), [], SpaceLayout((2,)))
+
+
+def test_build_liouvillian_rejects_non_finite_generator():
+    with pytest.raises(ValueError):
+        build_liouvillian(np.zeros((2, 2)), [JumpTerm(np.nan, SIGMA_MINUS)])
 
 
 def test_apply_liouvillian_matches_direct_lindblad():
@@ -163,6 +176,63 @@ def test_degenerate_kernel_is_rejected():
     liou = build_liouvillian(h, [], SpaceLayout((2,)))
     with pytest.raises(DegenerateSteadyStateError):
         steady_state(liou)
+
+
+def random_model_params(rng):
+    return FullModelParams(
+        delta0=rng.uniform(-0.05, 0.05), delta1=rng.uniform(-0.05, 0.05),
+        g0=rng.uniform(0.02, 0.08), g1=rng.uniform(0.02, 0.08),
+        eta0=rng.uniform(0.02, 0.08), eta1=rng.uniform(0.02, 0.08),
+        eta_a=rng.uniform(0.0, 0.05),
+        gamma_r0=10 ** rng.uniform(-8, -3), gamma_r1=10 ** rng.uniform(-8, -3),
+        gamma_d0=10 ** rng.uniform(-8, -3), gamma_d1=10 ** rng.uniform(-8, -3))
+
+
+def test_steady_state_matches_kernel_eigenvector():
+    # the eigen route survives as an oracle: the kernel eigenvector of L,
+    # normalized to unit trace, is the bordered-solve steady state
+    rng = np.random.default_rng(41)
+    for _ in range(5):
+        liou = build_liouvillian(*build_full_model(random_model_params(rng)))
+        rho = steady_state(liou)
+        vals, vecs = scipy.linalg.eig(liou.superop)
+        kernel = unvec(vecs[:, np.argmin(np.abs(vals))])
+        kernel = kernel / np.trace(kernel)
+        assert np.max(np.abs(rho.matrix - kernel)) < 1e-9
+
+
+def test_near_degenerate_kernel_threshold():
+    # qubit 0 decoupled from the boson relaxes only through gamma_r0: at
+    # 1e-12 its slow mode is numerically a second kernel vector, at 1e-3 the
+    # steady state is unique
+    base = FullModelParams(g0=0.0, gamma_d0=0.0)
+    liou = build_liouvillian(*build_full_model(dataclasses.replace(base, gamma_r0=1e-12)))
+    with pytest.raises(DegenerateSteadyStateError):
+        steady_state(liou)
+    liou = build_liouvillian(*build_full_model(dataclasses.replace(base, gamma_r0=1e-3)))
+    assert steady_state_residual(liou, steady_state(liou)) < 1e-10
+
+
+def test_spectrum_is_computed_lazily_and_once(monkeypatch):
+    calls = []
+    real_eig = scipy.linalg.eig
+
+    def counting_eig(*args, **kwargs):
+        calls.append(1)
+        return real_eig(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eig", counting_eig)
+    p = FullModelParams()
+    liou = build_liouvillian(*build_full_model(p))
+    rho = steady_state(liou)
+    concurrence(partial_trace(rho, (0, 1)))
+    g2_zero(liou, rho)
+    assert "_spectrum" not in vars(liou)
+    assert calls == []
+    g2_trace(liou, rho, default_tau_max(p), n_samples=256)
+    assert "_spectrum" in vars(liou)
+    assert liou.spectral_ok and not liou.eigenvalues.flags.writeable
+    assert len(calls) == 1
 
 
 def test_truncation_check_decoupled_boson():
