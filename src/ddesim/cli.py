@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, parse_config
-from .liouvillian import NumericalError, build_liouvillian, evolve, steady_state
+from .liouvillian import PROPAGATION_METHOD, build_liouvillian, evolve, steady_state
 from .models import (
     build_full_model,
     boson_number,
@@ -34,8 +34,7 @@ from .models import (
     rabi_frequency,
 )
 from .observables import (
-    DarkEmitterError,
-    FlatSpectrumError,
+    NUMERICAL_ERRORS,
     concurrence,
     default_tau_max,
     g2_trace,
@@ -123,14 +122,14 @@ def cmd_populations(cfg: RunConfig):
     except ValueError as exc:
         analytic = np.full((times.size, 4), np.nan)
         comments.append(f"closed form unavailable: {exc}")
-    comments.append(f"propagation method: {res.method}")
+    comments.append(f"propagation method: {PROPAGATION_METHOD}")
 
     header = ["t_native", "t_seconds",
               "rho_e", "rho_s", "rho_a", "rho_g",
               "rho_e_analytic", "rho_s_analytic", "rho_a_analytic", "rho_g_analytic"]
     rows = [[t, t / p.gamma_a_abs, *num, *ana]
             for t, num, ana in zip(times, numeric, analytic)]
-    return comments, header, rows, {"propagation_method": res.method}
+    return comments, header, rows, {"propagation_method": PROPAGATION_METHOD}
 
 
 def cmd_steady(cfg: RunConfig):
@@ -170,12 +169,12 @@ def cmd_g2(cfg: RunConfig):
     comments = _provenance("g2", cfg)
     comments.append(
         f"g2_zero={_fmt(trace.g2_zero)}, asymptote={_fmt(trace.asymptote)}, "
-        f"bright_emitters={list(trace.bright_emitters)}, method={trace.method}")
+        f"bright_emitters={list(trace.bright_emitters)}, method={PROPAGATION_METHOD}")
     header = ["tau_native", "tau_seconds", "raw", "normalized"]
     rows = [[t, t / p.gamma_a_abs, r, n]
             for t, r, n in zip(trace.taus, trace.raw, trace.normalized)]
     extra = {"g2_zero": trace.g2_zero, "asymptote": trace.asymptote,
-             "tau_max": tau_max, "method": trace.method,
+             "tau_max": tau_max, "method": PROPAGATION_METHOD,
              "bright_emitters": list(trace.bright_emitters),
              "dark_emitters": list(trace.dark_emitters)}
     return comments, header, rows, extra
@@ -319,8 +318,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (NumericalError, DarkEmitterError, FlatSpectrumError, ValueError,
-            FloatingPointError, np.linalg.LinAlgError) as exc:
+    except NUMERICAL_ERRORS as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
 

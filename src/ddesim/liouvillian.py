@@ -4,16 +4,17 @@ The generator rho_dot = -i[H, rho] + sum_k gamma_k (L_k rho L_k+ - {L_k+ L_k, rh
 is materialized as a dense superoperator acting on column-stacked vectorized
 density matrices, vec(A X B) = (B^T kron A) vec(X). The steady state is one
 LU solve of the superoperator with the trace condition substituted for its
-first row. The spectral decomposition is computed lazily, on first use, and
-drives propagation; an independent adaptive Runge-Kutta integrator provides
-the cross-check path and the fallback for ill-conditioned eigenbases.
+first row. Propagation has one path: on a uniform time grid the step
+operator expm(L dt) is formed once by scaling and squaring and the state is
+stepped by matrix-vector products. Unlike an eigendecomposition of L, whose
+eigenbasis becomes ill-conditioned near exceptional points, the scaling and
+squaring does not depend on that conditioning.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -38,10 +39,12 @@ RCOND_TOL = 1e-11
 TRACE_DRIFT_TOL = 1e-9
 STEADY_EIG_TOL = 1e-9
 EVOLVED_EIG_TOL = 1e-8
-COND_LIMIT = 1e12
+# largest deviation of a time step from the mean step, relative to it, that
+# still counts as a uniform grid (np.linspace rounds at about 1e-13)
+UNIFORM_GRID_RTOL = 1e-9
 
-RK_RTOL = 1e-9
-RK_ATOL = 1e-12
+# name of the propagation path, recorded in CLI outputs
+PROPAGATION_METHOD = "expm"
 
 
 class NumericalError(RuntimeError):
@@ -86,11 +89,8 @@ def unvec(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Liouvillian:
-    """Dense Lindblad superoperator with a lazily computed spectral cache.
+    """Dense Lindblad superoperator on a labeled space.
 
-    The eigendecomposition (eigenvalues, right eigenvectors as columns, their
-    inverse and its condition number) is computed once, on first access to
-    any of those attributes; the steady-state solve never touches it.
     Immutable after construction; safe to share across sweep workers.
     """
 
@@ -100,29 +100,6 @@ class Liouvillian:
     @property
     def dim(self) -> int:
         return self.layout.total_dim
-
-    @cached_property
-    def _spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        vals, vecs = scipy.linalg.eig(self.superop)
-        try:
-            cond = float(np.linalg.cond(vecs))
-            vecs_inv = np.linalg.inv(vecs)
-        except np.linalg.LinAlgError:
-            cond = np.inf
-            vecs_inv = np.full_like(vecs, np.nan)
-        for arr in (vals, vecs, vecs_inv):
-            arr.flags.writeable = False
-        return vals, vecs, vecs_inv, cond
-
-    eigenvalues = property(lambda self: self._spectrum[0])
-    eigenvectors = property(lambda self: self._spectrum[1])  # right eigenvectors, columns
-    eigenvectors_inv = property(lambda self: self._spectrum[2])
-    condition = property(lambda self: self._spectrum[3])
-
-    @property
-    def spectral_ok(self) -> bool:
-        """Whether the eigenbasis is well enough conditioned for propagation."""
-        return np.isfinite(self.condition) and self.condition <= COND_LIMIT
 
 
 def build_liouvillian(h: np.ndarray, jumps: list[JumpTerm] | tuple[JumpTerm, ...],
@@ -184,89 +161,62 @@ class EvolveResult:
 
     times: np.ndarray = field(repr=False)
     states: tuple[DensityMatrix, ...] = field(repr=False)
-    method: str = "spectral"
     max_trace_drift: float = 0.0
-    fallback_reason: str | None = None
 
 
-def _validate_times(times) -> np.ndarray:
+def _uniform_times(times) -> tuple[np.ndarray, float]:
+    """Validated sample times and their common step (0.0 for one sample)."""
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size == 0:
         raise ValueError("times must be a nonempty 1-D sequence")
     if t[0] < 0:
         raise ValueError("times must be nonnegative")
-    if t.size > 1 and not np.all(np.diff(t) > 0):
+    if t.size == 1:
+        return t, 0.0
+    steps = np.diff(t)
+    if not np.all(steps > 0):
         raise ValueError("times must be strictly increasing")
-    return t
+    dt = (t[-1] - t[0]) / (t.size - 1)
+    if np.max(np.abs(steps - dt)) > UNIFORM_GRID_RTOL * dt:
+        raise ValueError("times must be uniformly spaced")
+    return t, dt
 
 
-def _spectral_propagate(l: Liouvillian, m0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Propagated vectorized states, one column per sample time."""
-    w = l.eigenvectors_inv @ vec(m0)
-    phases = np.exp(np.outer(l.eigenvalues, times))  # (d^2, n_t)
-    return l.eigenvectors @ (phases * w[:, None])
+def evolve(l: Liouvillian, rho0: DensityMatrix, times) -> EvolveResult:
+    """Propagate rho0 along a uniform grid of sample times.
 
+    The first sample is expm(L t[0]) vec(rho0); each later one is the step
+    operator expm(L dt) applied to the previous sample. Each sampled state
+    is hermitized and trace-renormalized; the pre-normalization drift is
+    reported in the result.
 
-def _rk_propagate(l: Liouvillian, m0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Adaptive RK 4(5) integration of the vectorized master equation."""
-    from scipy.integrate import solve_ivp  # deferred: costly import, rarely used
-
-    y0 = vec(m0)
-    if times[-1] == 0.0:
-        return np.tile(y0[:, None], (1, times.size))
-    sop = l.superop
-    sol = solve_ivp(lambda t, y: sop @ y, (0.0, float(times[-1])), y0,
-                    method="RK45", t_eval=times, rtol=RK_RTOL, atol=RK_ATOL)
-    if not sol.success:
-        raise NumericalError(f"RK45 integration failed: {sol.message}")
-    return sol.y
-
-
-def evolve(l: Liouvillian, rho0: DensityMatrix, times,
-           method: str = "auto") -> EvolveResult:
-    """Propagate rho0 along the given sample times.
-
-    The spectral decomposition is the primary path; the integrator path is
-    used on request (method="rk") or as automatic fallback when the
-    eigenbasis condition estimate exceeds 1e12 or the spectral trace drift
-    exceeds 1e-9. Each sampled state is hermitized and trace-renormalized;
-    the pre-normalization drift is reported in the result.
+    Raises
+    ------
+    ValueError
+        If times is empty, negative, not strictly increasing or not
+        uniformly spaced.
+    NumericalError
+        If the trace drifts by more than 1e-9.
     """
     if rho0.layout.total_dim != l.dim:
         raise ValueError("initial state dimension does not match Liouvillian")
-    if method not in ("auto", "spectral", "rk"):
-        raise ValueError(f"unknown method {method!r}")
-    t = _validate_times(times)
+    t, dt = _uniform_times(times)
 
-    chosen = method
-    reason = None
-    if method == "auto":
-        if l.spectral_ok:
-            chosen = "spectral"
-        else:
-            chosen = "rk"
-            reason = f"eigenbasis condition {l.condition:.3e} exceeds {COND_LIMIT:.0e}"
-    elif method == "spectral" and not l.spectral_ok:
-        raise NumericalError(
-            f"spectral path requested but eigenbasis condition {l.condition:.3e} "
-            f"exceeds {COND_LIMIT:.0e}")
-
-    cols = (_spectral_propagate if chosen == "spectral" else _rk_propagate)(l, rho0.matrix, t)
+    cols = np.empty((l.dim * l.dim, t.size), dtype=complex)
+    cols[:, 0] = scipy.linalg.expm(l.superop * t[0]) @ vec(rho0.matrix)
+    if t.size > 1:
+        step = scipy.linalg.expm(l.superop * dt)
+        for k in range(1, t.size):
+            cols[:, k] = step @ cols[:, k - 1]
     drift = float(np.max(np.abs(np.einsum("iik->k", cols.reshape(l.dim, l.dim, t.size, order="F")).real - 1.0)))
-    if chosen == "spectral" and method == "auto" and drift > TRACE_DRIFT_TOL:
-        reason = f"spectral trace drift {drift:.3e} exceeds {TRACE_DRIFT_TOL:.0e}"
-        chosen = "rk"
-        cols = _rk_propagate(l, rho0.matrix, t)
-        drift = float(np.max(np.abs(np.einsum("iik->k", cols.reshape(l.dim, l.dim, t.size, order="F")).real - 1.0)))
     if drift > TRACE_DRIFT_TOL:
-        raise NumericalError(f"trace drift {drift:.3e} exceeds {TRACE_DRIFT_TOL:.0e} on both paths")
+        raise NumericalError(f"trace drift {drift:.3e} exceeds {TRACE_DRIFT_TOL:.0e}")
 
     states = tuple(
         DensityMatrix.from_matrix(rho0.layout, unvec(cols[:, k]), normalize=True,
                                   eig_tol=EVOLVED_EIG_TOL)
         for k in range(t.size))
-    return EvolveResult(times=t, states=states, method=chosen,
-                        max_trace_drift=drift, fallback_reason=reason)
+    return EvolveResult(times=t, states=states, max_trace_drift=drift)
 
 
 def _trace_row(d: int) -> np.ndarray:

@@ -32,11 +32,6 @@ HERM_TOL = 1e-10
 EIG_TOL = 1e-9
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two dense matrices."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def hermitize(m: np.ndarray) -> np.ndarray:
     """Return the Hermitian part (m + m^dagger)/2 of a square matrix."""
     m = np.asarray(m)
@@ -49,14 +44,6 @@ def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
     """Check Hermiticity within an explicit entrywise tolerance."""
     m = np.asarray(m)
     return m.ndim == 2 and m.shape[0] == m.shape[1] and np.max(np.abs(m - m.conj().T)) <= tol
-
-
-def is_unitary(m: np.ndarray, tol: float = 1e-10) -> bool:
-    """Check unitarity within an explicit entrywise tolerance."""
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
-    return np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= tol
 
 
 @dataclass(frozen=True)

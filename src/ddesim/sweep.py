@@ -2,8 +2,9 @@
 
 Each grid cell independently builds the full model, solves for its steady
 state, and evaluates the requested observables. Cells where the solve or
-the correlation analysis fails are flagged with the error message and
-excluded from summary statistics, never given fabricated values. Results
+the correlation analysis fails numerically (observables.NUMERICAL_ERRORS)
+are flagged with the error message and excluded from summary statistics,
+never given fabricated values; any other exception propagates. Results
 are collected in grid order, so output is identical for any worker count.
 """
 
@@ -20,6 +21,7 @@ from .liouvillian import build_liouvillian, steady_state
 from .models import FullModelParams, build_full_model
 from .observables import (
     DEFAULT_N_SAMPLES,
+    NUMERICAL_ERRORS,
     concurrence,
     default_tau_max,
     extract_timescale,
@@ -136,7 +138,7 @@ def _evaluate_cell(args: tuple[FullModelParams, tuple[str, ...], tuple[float, ..
         if "timescale" in observables:
             trace = g2_trace(liou, rho_ss, default_tau_max(params), DEFAULT_N_SAMPLES)
             period = extract_timescale(trace, params.gamma_a_abs).period_native
-    except Exception as exc:  # flagged, never fabricated
+    except NUMERICAL_ERRORS as exc:  # flagged, never fabricated
         error = f"{type(exc).__name__}: {exc}"
     cell = CellResult(axis_values=axis_values, concurrence=conc, g2_zero=g2z,
                       period_native=period, error=error)

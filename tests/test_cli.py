@@ -8,6 +8,7 @@ import pytest
 from ddesim import __version__
 from ddesim.cli import main
 from ddesim.config import ConfigError, parse_config
+from ddesim.validate import CHECKS, SEED
 
 
 def read_csv(path):
@@ -115,7 +116,7 @@ def test_populations_csv(tmp_path, capsys):
     # both start in the ground state; dissipation separates them later
     assert np.allclose(numeric[0], [0, 0, 0, 1], atol=1e-12)
     assert np.allclose(analytic[0], [0, 0, 0, 1], atol=1e-12)
-    assert any("propagation method" in c for c in comments)
+    assert "propagation method: expm" in comments
 
 
 def test_populations_without_closed_form(tmp_path):
@@ -174,7 +175,7 @@ def test_g2_csv_antibunched_and_recovering(tmp_path):
     assert any(c.startswith("g2_zero=") for c in comments)
     meta = json.loads((out.parent / "g2.csv.meta.json").read_text())
     assert meta["bright_emitters"] == [0, 1]
-    assert meta["method"] in ("spectral", "rk")
+    assert meta["method"] == "expm"
 
 
 def test_concurrence_map_one_dimensional(tmp_path):
@@ -238,6 +239,12 @@ def test_validate_exit_codes(monkeypatch, capsys):
     monkeypatch.setattr("ddesim.cli.run_validation", lambda: 2)
     assert main(["validate"]) == 3
     assert "validation failed: 2 check(s)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("check", [c for _, c in CHECKS],
+                         ids=[name.replace(" ", "-") for name, _ in CHECKS])
+def test_validate_check_passes(check):
+    check(np.random.default_rng(SEED))
 
 
 def test_default_output_name(tmp_path, monkeypatch, capsys):

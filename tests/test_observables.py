@@ -160,7 +160,6 @@ def test_g2_zero_matches_trace_sample():
     assert trace.raw[0] == pytest.approx(trace.g2_zero * trace.asymptote)
     assert trace.bright_emitters == (0, 1)
     assert trace.dark_emitters == ()
-    assert trace.method == "spectral"
     assert np.abs(trace.normalized[-205:] - 1.0).max() <= 0.05
 
 
@@ -224,8 +223,7 @@ def synthetic_trace(tau_max, n, freq=0.02, depth=0.8, decay=1500.0):
     normalized = 1.0 - depth * np.cos(2 * np.pi * freq * taus) * np.exp(-taus / decay)
     return CorrelationTrace(
         taus=taus, raw=2.0 * normalized, normalized=normalized, asymptote=2.0,
-        g2_zero=float(normalized[0]), bright_emitters=(0, 1), dark_emitters=(),
-        method="synthetic")
+        g2_zero=float(normalized[0]), bright_emitters=(0, 1), dark_emitters=())
 
 
 def test_extract_timescale_recovers_known_tone():
@@ -248,8 +246,7 @@ def test_extract_timescale_flat_trace_raises():
     taus = np.linspace(0.0, 2000.0, 4096)
     flat = CorrelationTrace(
         taus=taus, raw=np.full(4096, 2.0), normalized=np.ones(4096),
-        asymptote=2.0, g2_zero=1.0, bright_emitters=(0, 1), dark_emitters=(),
-        method="synthetic")
+        asymptote=2.0, g2_zero=1.0, bright_emitters=(0, 1), dark_emitters=())
     with pytest.raises(FlatSpectrumError):
         extract_timescale(flat, 50e12)
 
@@ -259,8 +256,7 @@ def test_extract_timescale_monotone_relaxation_raises():
     normalized = 1.0 - np.exp(-taus / 300.0)
     trace = CorrelationTrace(
         taus=taus, raw=2.0 * normalized, normalized=normalized, asymptote=2.0,
-        g2_zero=0.0, bright_emitters=(0, 1), dark_emitters=(),
-        method="synthetic")
+        g2_zero=0.0, bright_emitters=(0, 1), dark_emitters=())
     with pytest.raises(FlatSpectrumError):
         extract_timescale(trace, 50e12)
 

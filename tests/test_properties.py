@@ -1,0 +1,108 @@
+"""Property tests over random model parameters: the invariants every path must keep."""
+
+import numpy as np
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ddesim import (
+    DensityMatrix,
+    FullModelParams,
+    apply_liouvillian,
+    build_full_model,
+    build_liouvillian,
+    concurrence,
+    default_tau_max,
+    evolve,
+    g2_trace,
+    ground_state,
+    partial_trace,
+    steady_state,
+)
+from ddesim.liouvillian import unvec, vec
+
+PROPERTY_SETTINGS = settings(max_examples=10, deadline=None, derandomize=True,
+                             database=None)
+
+# relaxation and dephasing rates of at least 1e-4 keep every mode decaying:
+# over the corners of this box the slowest decay rate is 3.3e-4, so t = 1e6
+# is settled to double precision with a wide margin
+params_strategy = st.builds(
+    FullModelParams,
+    delta0=st.floats(-0.05, 0.05), delta1=st.floats(-0.05, 0.05),
+    g0=st.floats(0.02, 0.08), g1=st.floats(0.02, 0.08),
+    eta0=st.floats(0.02, 0.08), eta1=st.floats(0.02, 0.08),
+    eta_a=st.floats(0.0, 0.05),
+    gamma_r0=st.floats(1e-4, 1e-2), gamma_r1=st.floats(1e-4, 1e-2),
+    gamma_d0=st.floats(1e-4, 1e-2), gamma_d1=st.floats(1e-4, 1e-2))
+seeds = st.integers(0, 2**32 - 1)
+
+
+def random_density(rng, dim):
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+def random_unitary(rng, dim):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def solved(p):
+    liou = build_liouvillian(*build_full_model(p))
+    return liou, steady_state(liou)
+
+
+@PROPERTY_SETTINGS
+@given(params_strategy, seeds)
+def test_evolve_preserves_trace_and_hermiticity(p, seed):
+    rng = np.random.default_rng(seed)
+    liou = build_liouvillian(*build_full_model(p))
+    d = liou.dim
+    # the generator annihilates the trace row and maps Hermitian to Hermitian
+    trace_row = vec(np.eye(d))
+    assert np.abs(trace_row @ liou.superop).max() < 1e-14
+    rho = random_density(rng, d)
+    out = apply_liouvillian(liou, rho)
+    assert np.abs(out - out.conj().T).max() < 1e-14
+    # the drift is measured before the renormalization evolve applies, and
+    # the stepped state matches the unsymmetrized one-shot propagator
+    rho0 = DensityMatrix.from_matrix(liou.layout, rho)
+    res = evolve(liou, rho0, np.linspace(0.0, 500.0, 11))
+    assert res.max_trace_drift < 1e-9
+    direct = unvec(scipy.linalg.expm(liou.superop * 500.0) @ vec(rho))
+    assert np.abs(direct - direct.conj().T).max() < 1e-12
+    assert np.abs(res.states[-1].matrix - direct).max() < 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(params_strategy)
+def test_evolve_settles_to_steady_state(p):
+    liou, rho_ss = solved(p)
+    late = evolve(liou, ground_state(liou.layout), [0.0, 1e6]).states[-1]
+    assert np.abs(late.matrix - rho_ss.matrix).max() < 1e-10
+
+
+@PROPERTY_SETTINGS
+@given(params_strategy)
+def test_g2_trace_invariant_under_qubit_exchange(p):
+    traces = []
+    for q in (p, p.swapped_qubits()):
+        liou, rho_ss = solved(q)
+        traces.append(g2_trace(liou, rho_ss, default_tau_max(q), n_samples=256))
+    assert np.abs(traces[0].normalized - traces[1].normalized).max() < 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(params_strategy, seeds)
+def test_concurrence_bounded_and_local_unitary_invariant(p, seed):
+    rng = np.random.default_rng(seed)
+    _, rho_ss = solved(p)
+    rho2q = partial_trace(rho_ss, (0, 1))
+    c = concurrence(rho2q).value
+    assert 0.0 <= c <= 1.0
+    u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
+    rotated = DensityMatrix.from_matrix(rho2q.layout, u @ rho2q.matrix @ u.conj().T,
+                                        normalize=True)
+    assert abs(concurrence(rotated).value - c) < 1e-9

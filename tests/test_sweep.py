@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from ddesim import FullModelParams, GridSpec, SweepResult, correlation_stats, run_sweep
+from ddesim import (
+    FullModelParams,
+    GridSpec,
+    NumericalError,
+    SweepResult,
+    correlation_stats,
+    run_sweep,
+)
 from ddesim.sweep import CellResult
 
 
@@ -64,6 +71,22 @@ def test_failed_cells_are_flagged_not_fabricated():
     assert good.ok
     assert good.concurrence is not None
     assert result.valid_rows() == [good]
+
+
+def test_only_numerical_failures_become_error_cells(monkeypatch):
+    spec = GridSpec(axis1=("delta0", -0.01, 0.01, 2), observables=("concurrence",))
+
+    def failing_with(exc):
+        def steady_state(liou):
+            raise exc
+        return steady_state
+
+    monkeypatch.setattr("ddesim.sweep.steady_state", failing_with(NumericalError("drift")))
+    rows = run_sweep(spec).rows
+    assert [r.error for r in rows] == ["NumericalError: drift"] * 2
+    monkeypatch.setattr("ddesim.sweep.steady_state", failing_with(TypeError("bug")))
+    with pytest.raises(TypeError, match="bug"):
+        run_sweep(spec)
 
 
 def test_sweep_rows_independent_of_worker_count():
