@@ -8,6 +8,7 @@ The file format is deliberately trivial: one `key = value` pair per line,
 from __future__ import annotations
 
 import dataclasses
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,31 +27,6 @@ def _parse_bool(text: str) -> bool:
     if t in ("false", "no", "off", "0"):
         return False
     raise ValueError(f"{text!r} is not a boolean")
-
-
-_MODEL_FIELDS = {f.name: f for f in dataclasses.fields(FullModelParams)}
-
-# key -> (python type, default); model keys inherit their dataclass defaults
-_KEY_TYPES: dict[str, tuple[type, object]] = {
-    **{name: (int if name == "n_max" else (str if name == "relaxation_operator" else float),
-              f.default)
-       for name, f in _MODEL_FIELDS.items()},
-    "t_max": (float, None),
-    "n_times": (int, 200),
-    "tau_max": (float, None),
-    "n_samples": (int, 4096),
-    "axis1": (str, None),
-    "axis1_min": (float, None),
-    "axis1_max": (float, None),
-    "axis1_points": (int, None),
-    "axis2": (str, None),
-    "axis2_min": (float, None),
-    "axis2_max": (float, None),
-    "axis2_points": (int, None),
-    "workers": (int, None),
-    "pi_units": (bool, False),
-    "out": (str, None),
-}
 
 
 @dataclass(frozen=True)
@@ -98,6 +74,23 @@ class RunConfig:
                 if v is None]
             raise ConfigError(f"incomplete axis: missing key(s) {', '.join(missing)}")
         return vals
+
+
+def _key_types(cls) -> dict[str, tuple[type, object]]:
+    """key -> (python type, default) for each field of a dataclass; an
+    optional field (X | None) maps to X."""
+    hints = typing.get_type_hints(cls)
+    table = {}
+    for f in dataclasses.fields(cls):
+        args = [a for a in typing.get_args(hints[f.name]) if a is not type(None)]
+        table[f.name] = (args[0] if args else hints[f.name], f.default)
+    return table
+
+
+# model keys inherit their FullModelParams defaults, the rest are RunConfig's
+_MODEL_KEYS = _key_types(FullModelParams)
+_KEY_TYPES = {**_MODEL_KEYS,
+              **{k: v for k, v in _key_types(RunConfig).items() if k != "params"}}
 
 
 def _convert(key: str, raw: str, where: str):
@@ -152,13 +145,13 @@ def parse_config(path: str | None = None, overrides: tuple[str, ...] = ()) -> Ru
         values.update(_parse_pairs(lines, "on line {lineno} of " + path))
     values.update(_parse_pairs(overrides, "in --set argument {lineno}"))
 
-    model_kwargs = {k: v for k, v in values.items() if k in _MODEL_FIELDS}
+    model_kwargs = {k: v for k, v in values.items() if k in _MODEL_KEYS}
     try:
         params = FullModelParams(**model_kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    run_kwargs = {k: v for k, v in values.items() if k not in _MODEL_FIELDS}
+    run_kwargs = {k: v for k, v in values.items() if k not in _MODEL_KEYS}
     cfg = RunConfig(params=params, **run_kwargs)
     if cfg.n_times < 2:
         raise ConfigError(f"invalid value for key 'n_times': need >= 2, got {cfg.n_times}")

@@ -2,18 +2,22 @@
 
 The generator rho_dot = -i[H, rho] + sum_k gamma_k (L_k rho L_k+ - {L_k+ L_k, rho}/2)
 is materialized as a dense superoperator acting on column-stacked vectorized
-density matrices, vec(A X B) = (B^T kron A) vec(X). The steady state is one
-LU solve of the superoperator with the trace condition substituted for its
-first row. Propagation has one path: on a uniform time grid the step
-operator expm(L dt) is formed once by scaling and squaring and the state is
-stepped by matrix-vector products. Unlike an eigendecomposition of L, whose
+density matrices, vec(A X B) = (B^T kron A) vec(X). With the effective
+non-Hermitian Hamiltonian K = -i H - (1/2) sum_k gamma_k L_k+ L_k it reads
+1 kron K + conj(K) kron 1 + sum_k gamma_k conj(L_k) kron L_k, and it is
+assembled without forming a Kronecker product: (A kron B)[a d + b, c d + e]
+= A[a, c] B[b, e] makes the jump sum one matrix product and the K terms
+adds on diagonal blocks. The steady state is one LU solve of the
+superoperator with the trace condition substituted for its first row.
+Propagation has one path: on a uniform time grid the step operator
+expm(L dt) is formed once by scaling and squaring and the state is stepped
+by matrix-vector products. Unlike an eigendecomposition of L, whose
 eigenbasis becomes ill-conditioned near exceptional points, the scaling and
 squaring does not depend on that conditioning.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +29,6 @@ from .operators import (
     SpaceLayout,
     hermitize,
     is_hermitian,
-    partial_trace,
 )
 
 # residual and drift tolerances, about 100x the double-precision noise
@@ -106,6 +109,14 @@ def build_liouvillian(h: np.ndarray, jumps: list[JumpTerm] | tuple[JumpTerm, ...
                       layout: SpaceLayout | None = None) -> Liouvillian:
     """Assemble the dense superoperator for Hamiltonian h and jump terms.
 
+    It is 1 kron K + conj(K) kron 1 + sum_j rate_j conj(L_j) kron L_j with
+    K = -i h - (1/2) sum_j rate_j L_j+ L_j. Entry [a, b, c, e] of A kron B,
+    read as a (d, d, d, d) array, is A[a, c] B[b, e]. So the jump sum is one
+    (d^2 x m) (m x d^2) product over the (a c), (b e) index pairs of the m
+    channels with nonzero rate, copied into (a b), (c e) order, and K and
+    conj(K) are added on the diagonal blocks a = c and b = e. The result is
+    read-only.
+
     Parameters
     ----------
     h : ndarray
@@ -115,6 +126,13 @@ def build_liouvillian(h: np.ndarray, jumps: list[JumpTerm] | tuple[JumpTerm, ...
     layout : SpaceLayout, optional
         Subsystem structure of the space h acts on. Defaults to a single
         subsystem of matching dimension.
+
+    Raises
+    ------
+    ValueError
+        If h is not square or not Hermitian, the layout or a jump operator
+        (whatever its rate) does not match its dimension, or the
+        superoperator has a non-finite entry.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -127,19 +145,27 @@ def build_liouvillian(h: np.ndarray, jumps: list[JumpTerm] | tuple[JumpTerm, ...
     if layout.total_dim != d:
         raise ValueError(f"layout dimension {layout.total_dim} does not match Hamiltonian dim {d}")
 
-    eye = np.eye(d, dtype=complex)
-    # vec(A X B) = (B^T kron A) vec(X), column stacking
-    sop = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    live = []
     for j in jumps:
-        op = j.operator
-        if op.shape != (d, d):
-            raise ValueError(f"jump operator shape {op.shape} does not match dim {d}")
-        if j.rate == 0.0:
-            continue
-        opdop = op.conj().T @ op
-        sop += j.rate * (np.kron(op.conj(), op)
-                         - 0.5 * np.kron(eye, opdop)
-                         - 0.5 * np.kron(opdop.T, eye))
+        if j.operator.shape != (d, d):
+            raise ValueError(f"jump operator shape {j.operator.shape} does not match dim {d}")
+        if j.rate != 0.0:
+            live.append(j)
+
+    # jump-sum factors indexed by (a c) and (b e)
+    left = np.empty((d * d, len(live)), dtype=complex)
+    right = np.empty((len(live), d * d), dtype=complex)
+    k = -1j * h
+    for n, j in enumerate(live):
+        left[:, n] = j.rate * j.operator.conj().ravel()
+        right[n] = j.operator.ravel()
+        k -= 0.5 * j.rate * (j.operator.conj().T @ j.operator)
+    sop = np.empty((d * d, d * d), dtype=complex)
+    blocks = sop.reshape(d, d, d, d)
+    blocks[...] = (left @ right).reshape(d, d, d, d).transpose(0, 2, 1, 3)
+    diag = np.arange(d)
+    blocks[diag, :, diag, :] += k
+    blocks[:, diag, :, diag] += k.conj()
     if not np.all(np.isfinite(sop)):
         raise ValueError("superoperator has non-finite entries")
 
@@ -271,34 +297,3 @@ def steady_state(l: Liouvillian) -> DensityMatrix:
 def steady_state_residual(l: Liouvillian, rho: DensityMatrix) -> float:
     """Max-entry norm of L(rho); < 1e-10 for accepted steady states."""
     return float(np.max(np.abs(l.superop @ vec(rho.matrix))))
-
-
-def truncation_check(params, n_max: int | None = None) -> float:
-    """Boson-truncation convergence probe.
-
-    Recomputes steady-state concurrence and zero-delay g2 at n_max and
-    n_max + 1 and returns the largest absolute change. A decoupled boson
-    (g0 = g1 = 0 with no boson drive) cannot influence the qubit
-    observables, so the change is identically zero there.
-    """
-    from . import models, observables  # deferred to avoid an import cycle
-
-    if n_max is None:
-        n_max = params.n_max
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    if params.g0 == 0.0 and params.g1 == 0.0 and params.eta_a == 0.0:
-        return 0.0
-
-    def observables_at(nm: int) -> tuple[float, float]:
-        p = dataclasses.replace(params, n_max=nm)
-        h, jumps, layout = models.build_full_model(p)
-        liou = build_liouvillian(h, jumps, layout)
-        rho = steady_state(liou)
-        c = observables.concurrence(partial_trace(rho, (0, 1))).value
-        g = observables.g2_zero(liou, rho)
-        return c, g
-
-    c_lo, g_lo = observables_at(n_max)
-    c_hi, g_hi = observables_at(n_max + 1)
-    return max(abs(c_hi - c_lo), abs(g_hi - g_lo))

@@ -6,6 +6,8 @@ the correlation analysis fails numerically (observables.NUMERICAL_ERRORS)
 are flagged with the error message and excluded from summary statistics,
 never given fabricated values; any other exception propagates. Results
 are collected in grid order, so output is identical for any worker count.
+truncation_check repeats the steady-state observables of one cell at the
+next boson truncation.
 """
 
 from __future__ import annotations
@@ -183,3 +185,28 @@ def correlation_stats(result: SweepResult) -> float:
     if np.std(g2) == 0 or np.std(conc) == 0:
         raise ValueError("correlation undefined: an observable column has zero variance")
     return float(np.corrcoef(g2, conc)[0, 1])
+
+
+def truncation_check(params: FullModelParams, n_max: int | None = None) -> float:
+    """Boson-truncation convergence probe.
+
+    Recomputes steady-state concurrence and zero-delay g2 at n_max and
+    n_max + 1 and returns the largest absolute change. A decoupled boson
+    (g0 = g1 = 0 with no boson drive) cannot influence the qubit
+    observables, so the change is identically zero there.
+    """
+    if n_max is None:
+        n_max = params.n_max
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    if params.g0 == 0.0 and params.g1 == 0.0 and params.eta_a == 0.0:
+        return 0.0
+
+    def observables_at(nm: int) -> tuple[float, float]:
+        liou = build_liouvillian(*build_full_model(dataclasses.replace(params, n_max=nm)))
+        rho = steady_state(liou)
+        return concurrence(partial_trace(rho, (0, 1))).value, g2_zero(liou, rho)
+
+    c_lo, g_lo = observables_at(n_max)
+    c_hi, g_hi = observables_at(n_max + 1)
+    return max(abs(c_hi - c_lo), abs(g_hi - g_lo))

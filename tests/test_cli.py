@@ -7,7 +7,7 @@ import pytest
 
 from ddesim import __version__
 from ddesim.cli import main
-from ddesim.config import ConfigError, parse_config
+from ddesim.config import _KEY_TYPES, ConfigError, parse_config
 from ddesim.validate import CHECKS, SEED
 
 
@@ -41,6 +41,29 @@ def test_parse_config_defaults():
     assert cfg.pi_units is False
     assert cfg.t_max is None
     assert cfg.out is None
+
+
+def test_config_key_table_is_derived_from_the_dataclasses():
+    # the key table is read off FullModelParams and RunConfig; it must keep
+    # every key with its parse type and default
+    assert _KEY_TYPES == {
+        "delta0": (float, 0.01), "delta1": (float, -0.01), "delta_a": (float, 0.0),
+        "g0": (float, 0.05), "g1": (float, 0.05),
+        "eta0": (float, 0.05), "eta1": (float, 0.05), "eta_a": (float, 0.0),
+        "gamma_r0": (float, 5e-8), "gamma_r1": (float, 5e-8),
+        "gamma_d0": (float, 1e-7), "gamma_d1": (float, 1e-7),
+        "gamma_a_abs": (float, 50e12), "n_max": (int, 2),
+        "relaxation_operator": (str, "lower"),
+        "t_max": (float, None), "n_times": (int, 200),
+        "tau_max": (float, None), "n_samples": (int, 4096),
+        "axis1": (str, None), "axis1_min": (float, None),
+        "axis1_max": (float, None), "axis1_points": (int, None),
+        "axis2": (str, None), "axis2_min": (float, None),
+        "axis2_max": (float, None), "axis2_points": (int, None),
+        "workers": (int, None), "pi_units": (bool, False), "out": (str, None),
+    }
+    assert all(type(default) in (typ, type(None))
+               for typ, default in _KEY_TYPES.values())
 
 
 def test_parse_config_file_and_set_overrides(tmp_path):

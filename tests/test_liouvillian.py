@@ -91,17 +91,61 @@ def test_build_liouvillian_rejects_non_finite_generator():
         build_liouvillian(np.zeros((2, 2)), [JumpTerm(np.nan, SIGMA_MINUS)])
 
 
-def test_apply_liouvillian_matches_direct_lindblad():
+def kron_assembly(h, jumps):
+    """Reference superoperator built term by term from Kronecker products."""
+    eye = np.eye(h.shape[0], dtype=complex)
+    sop = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    for rate, op in jumps:
+        opdop = op.conj().T @ op
+        sop = sop + rate * (np.kron(op.conj(), op)
+                            - 0.5 * np.kron(eye, opdop)
+                            - 0.5 * np.kron(opdop.T, eye))
+    return sop
+
+
+def random_operator(rng, dim):
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+def full_model(n_max):
+    h, jumps, _ = build_full_model(FullModelParams(n_max=n_max))
+    return h, [(j.rate, j.operator) for j in jumps]
+
+
+ASSEMBLY_CASES = {
+    "random-dim4": lambda rng: (random_hermitian(rng, 4),
+                                [(0.7, random_operator(rng, 4)),
+                                 (0.3, random_operator(rng, 4))]),
+    "no-jumps": lambda rng: (random_hermitian(rng, 4), []),
+    "zero-rate-jump": lambda rng: (random_hermitian(rng, 4),
+                                   [(0.7, random_operator(rng, 4)),
+                                    (0.0, random_operator(rng, 4)),
+                                    (0.3, random_operator(rng, 4))]),
+    "full-model-nmax2": lambda rng: full_model(2),
+    "full-model-nmax4": lambda rng: full_model(4),
+}
+
+
+@pytest.mark.parametrize("case", ASSEMBLY_CASES)
+def test_apply_liouvillian_matches_direct_lindblad(case):
     rng = np.random.default_rng(31)
-    dim = 4
-    h = random_hermitian(rng, dim)
-    ops = [(0.7, rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))),
-           (0.3, rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))]
+    h, ops = ASSEMBLY_CASES[case](rng)
     liou = build_liouvillian(h, [JumpTerm(r, op) for r, op in ops])
+    want = kron_assembly(h, ops)
+    assert np.max(np.abs(liou.superop - want)) <= 1e-14 * np.max(np.abs(want))
     for _ in range(5):
-        rho = random_density(rng, dim)
+        rho = random_density(rng, h.shape[0])
         got = apply_liouvillian(liou, rho)
         assert np.allclose(got, lindblad_rhs(h, ops, rho), atol=1e-12)
+
+
+@pytest.mark.parametrize("rate", [0.0, 1.0])
+def test_build_liouvillian_rejects_mis_shaped_jump(rate):
+    # a channel's shape is checked whatever its rate, so a dead channel of
+    # the wrong dimension is an error, not a silently skipped term
+    with pytest.raises(ValueError, match="does not match dim 2"):
+        build_liouvillian(np.zeros((2, 2)), [JumpTerm(1.0, SIGMA_MINUS),
+                                             JumpTerm(rate, np.eye(3))])
 
 
 def test_amplitude_damping_analytic_decay():
