@@ -197,57 +197,52 @@ def _cell_error(cell) -> str:
     return (cell.error or "").replace(",", ";").replace("\n", " ")
 
 
-def _sweep_rows(result, value_fields):
+def _run_map(cfg: RunConfig, workers: int, command: str, observables: tuple[str, ...]):
+    """Sweep a map grid: the result, the shared comment lines and the shared meta keys."""
+    spec = _grid_spec(cfg, command, observables)
+    result = run_sweep(spec, workers=workers)
+    comments = _provenance(command, cfg)
+    comments.append(f"axis1={spec.axis1}, axis2={spec.axis2}")
+    failed = sum(0 if r.ok else 1 for r in result.rows)
+    extra = {"axis1": list(spec.axis1), "axis2": list(spec.axis2) if spec.axis2 else None,
+             "cells": len(result.rows), "failed_cells": failed}
+    return result, comments, extra
+
+
+def _map_rows(result, values) -> list[list]:
+    """One CSV row per cell: both axis values, values(cell), the error."""
     rows = []
     for cell in result.rows:
         axis2_value = cell.axis_values[1] if len(cell.axis_values) > 1 else None
-        row = [cell.axis_values[0], axis2_value]
-        row.extend(getattr(cell, f) for f in value_fields)
-        row.append(_cell_error(cell))
-        rows.append(row)
+        rows.append([cell.axis_values[0], axis2_value, *values(cell), _cell_error(cell)])
     return rows
 
 
 def cmd_concurrence_map(cfg: RunConfig, workers: int):
-    spec = _grid_spec(cfg, "concurrence-map", ("concurrence", "g2_zero"))
-    result = run_sweep(spec, workers=workers)
-    comments = _provenance("concurrence-map", cfg)
-    comments.append(f"axis1={spec.axis1}, axis2={spec.axis2}")
+    result, comments, extra = _run_map(cfg, workers, "concurrence-map",
+                                       ("concurrence", "g2_zero"))
     header = ["axis1_value", "axis2_value", "concurrence", "g2_zero", "error"]
-    rows = _sweep_rows(result, ("concurrence", "g2_zero"))
-    failed = sum(0 if r.ok else 1 for r in result.rows)
-    extra = {"axis1": list(spec.axis1), "axis2": list(spec.axis2) if spec.axis2 else None,
-             "cells": len(result.rows), "failed_cells": failed}
+    rows = _map_rows(result, lambda cell: (cell.concurrence, cell.g2_zero))
     return comments, header, rows, extra
 
 
 def cmd_timescale_map(cfg: RunConfig, workers: int):
-    spec = _grid_spec(cfg, "timescale-map", ("timescale",))
-    result = run_sweep(spec, workers=workers)
-    p = cfg.params
+    result, comments, extra = _run_map(cfg, workers, "timescale-map", ("timescale",))
+    gamma_a_abs = cfg.params.gamma_a_abs
     unit_scale = np.pi if cfg.pi_units else 1.0
     unit_name = "T = 1/(pi*gamma_a)" if cfg.pi_units else "T = 1/gamma_a"
-
-    comments = _provenance("timescale-map", cfg)
-    comments.append(f"axis1={spec.axis1}, axis2={spec.axis2}")
     comments.append(f"period_display unit: {unit_name}")
+    extra["display_unit"] = unit_name
+
+    def periods(cell):
+        if cell.period_native is None:
+            return (None, None, None)
+        return (cell.period_native, cell.period_native / gamma_a_abs,
+                cell.period_native * unit_scale)
+
     header = ["axis1_value", "axis2_value", "period_native", "period_seconds",
               "period_display", "error"]
-    rows = []
-    for cell in result.rows:
-        axis2_value = cell.axis_values[1] if len(cell.axis_values) > 1 else None
-        if cell.period_native is None:
-            rows.append([cell.axis_values[0], axis2_value, None, None, None,
-                         _cell_error(cell)])
-        else:
-            rows.append([cell.axis_values[0], axis2_value, cell.period_native,
-                         cell.period_native / p.gamma_a_abs,
-                         cell.period_native * unit_scale, _cell_error(cell)])
-    failed = sum(0 if r.ok else 1 for r in result.rows)
-    extra = {"axis1": list(spec.axis1), "axis2": list(spec.axis2) if spec.axis2 else None,
-             "cells": len(result.rows), "failed_cells": failed,
-             "display_unit": unit_name}
-    return comments, header, rows, extra
+    return comments, header, _map_rows(result, periods), extra
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -9,11 +9,19 @@ assembled without forming a Kronecker product: (A kron B)[a d + b, c d + e]
 = A[a, c] B[b, e] makes the jump sum one matrix product and the K terms
 adds on diagonal blocks. The steady state is one LU solve of the
 superoperator with the trace condition substituted for its first row.
-Propagation has one path: on a uniform time grid the step operator
-expm(L dt) is formed once by scaling and squaring and the state is stepped
-by matrix-vector products. Unlike an eigendecomposition of L, whose
-eigenbasis becomes ill-conditioned near exceptional points, the scaling and
-squaring does not depend on that conditioning.
+
+Propagation has one path, in real coordinates. The orthonormal Hermitian
+basis {E_ii, (E_ij + E_ji)/sqrt(2), i (E_ij - E_ji)/sqrt(2) : i < j} is the
+unitary W with at most two nonzeros per column. L maps Hermitian matrices to
+Hermitian matrices, so L_H = W+ L W is a real d^2 x d^2 matrix; it is read
+off the superoperator by index arithmetic, never by a product with W. A
+Hermitian rho has the real coordinates c = W+ vec(rho); its trace is the sum
+of the diagonal coordinates and Tr(N rho) = c_N . c_rho. On a uniform time
+grid the real step operator expm(L_H dt) is formed once by scaling and
+squaring and the coordinates are stepped by matrix-vector products. Unlike
+an eigendecomposition of L, whose eigenbasis becomes ill-conditioned near
+exceptional points, the scaling and squaring does not depend on that
+conditioning.
 """
 
 from __future__ import annotations
@@ -181,6 +189,65 @@ def apply_liouvillian(l: Liouvillian, rho: DensityMatrix | np.ndarray) -> np.nda
     return unvec(l.superop @ vec(m))
 
 
+_SQRT_HALF = np.sqrt(0.5)
+
+
+def _hermitian_index(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column-stacked positions of rho[i, i], of rho[i, j] (i < j) and of rho[j, i]."""
+    i, j = np.triu_indices(d, 1)
+    return np.arange(d) * (d + 1), i + j * d, j + i * d
+
+
+def _hermitian_generator(l: Liouvillian) -> np.ndarray:
+    """Real generator L_H = W+ L W in the Hermitian basis [diagonal | symmetric | antisymmetric].
+
+    The superoperator is permuted once into [diagonal | upper | transpose
+    partner] blocks; the symmetric and antisymmetric combinations of the
+    last two are then block adds on the real and imaginary parts. What is
+    dropped is the imaginary part of W+ L W, which vanishes up to roundoff.
+    """
+    d = l.dim
+    diag, upper, lower = _hermitian_index(d)
+    order = np.concatenate((diag, upper, lower))
+    x = l.superop.take(order, axis=0).take(order, axis=1)
+    re, im = x.real, x.imag
+    dg, up, lo = slice(0, d), slice(d, d + upper.size), slice(d + upper.size, d * d)
+    s = _SQRT_HALF
+    # real and imaginary parts of the rows of W+ L
+    rows_re = np.concatenate((re[dg], s * (re[up] + re[lo]), s * (im[up] - im[lo])))
+    rows_im = np.concatenate((im[dg], s * (im[up] + im[lo]), s * (re[lo] - re[up])))
+    out = np.empty((d * d, d * d))
+    out[:, dg] = rows_re[:, dg]
+    out[:, up] = s * (rows_re[:, up] + rows_re[:, lo])
+    out[:, lo] = s * (rows_im[:, lo] - rows_im[:, up])
+    return out
+
+
+def _hermitian_coords(v: np.ndarray) -> np.ndarray:
+    """Real coordinates Re(W+ v) of column-stacked matrices along axis 0.
+
+    For a Hermitian matrix these are its diagonal, then sqrt(2) Re and
+    sqrt(2) Im of its upper triangle; other matrices map to their Hermitian
+    part.
+    """
+    diag, upper, lower = _hermitian_index(int(round(np.sqrt(v.shape[0]))))
+    s = _SQRT_HALF
+    return np.concatenate((v[diag].real, s * (v[upper] + v[lower]).real,
+                           s * (v[upper] - v[lower]).imag))
+
+
+def _hermitian_vec(c: np.ndarray) -> np.ndarray:
+    """Column-stacked Hermitian matrices W c with real coordinates c along axis 0."""
+    d = int(round(np.sqrt(c.shape[0])))
+    diag, upper, lower = _hermitian_index(d)
+    sym, anti = _SQRT_HALF * c[d:d + upper.size], _SQRT_HALF * c[d + upper.size:]
+    v = np.empty(c.shape, dtype=complex)
+    v[diag] = c[:d]
+    v[upper] = sym + 1j * anti
+    v[lower] = sym - 1j * anti
+    return v
+
+
 @dataclass(frozen=True)
 class EvolveResult:
     """Sampled Lindblad trajectory."""
@@ -211,10 +278,12 @@ def _uniform_times(times) -> tuple[np.ndarray, float]:
 def evolve(l: Liouvillian, rho0: DensityMatrix, times) -> EvolveResult:
     """Propagate rho0 along a uniform grid of sample times.
 
-    The first sample is expm(L t[0]) vec(rho0); each later one is the step
-    operator expm(L dt) applied to the previous sample. Each sampled state
-    is hermitized and trace-renormalized; the pre-normalization drift is
-    reported in the result.
+    Works on the real coordinates c of the Hermitian basis (module
+    docstring): the first sample is expm(L_H t[0]) c(rho0), each later one
+    the real step operator expm(L_H dt) applied to the previous sample. The
+    trace drift, the sum of the diagonal coordinates minus 1, is measured
+    before each sampled state is trace-renormalized and is reported in the
+    result.
 
     Raises
     ------
@@ -228,18 +297,20 @@ def evolve(l: Liouvillian, rho0: DensityMatrix, times) -> EvolveResult:
         raise ValueError("initial state dimension does not match Liouvillian")
     t, dt = _uniform_times(times)
 
-    cols = np.empty((l.dim * l.dim, t.size), dtype=complex)
-    cols[:, 0] = scipy.linalg.expm(l.superop * t[0]) @ vec(rho0.matrix)
+    generator = _hermitian_generator(l)
+    cols = np.empty((l.dim * l.dim, t.size))
+    cols[:, 0] = scipy.linalg.expm(generator * t[0]) @ _hermitian_coords(vec(rho0.matrix))
     if t.size > 1:
-        step = scipy.linalg.expm(l.superop * dt)
+        step = scipy.linalg.expm(generator * dt)
         for k in range(1, t.size):
             cols[:, k] = step @ cols[:, k - 1]
-    drift = float(np.max(np.abs(np.einsum("iik->k", cols.reshape(l.dim, l.dim, t.size, order="F")).real - 1.0)))
+    drift = float(np.max(np.abs(cols[:l.dim].sum(axis=0) - 1.0)))
     if drift > TRACE_DRIFT_TOL:
         raise NumericalError(f"trace drift {drift:.3e} exceeds {TRACE_DRIFT_TOL:.0e}")
 
+    mats = _hermitian_vec(cols)
     states = tuple(
-        DensityMatrix.from_matrix(rho0.layout, unvec(cols[:, k]), normalize=True,
+        DensityMatrix.from_matrix(rho0.layout, unvec(mats[:, k]), normalize=True,
                                   eig_tol=EVOLVED_EIG_TOL)
         for k in range(t.size))
     return EvolveResult(times=t, states=states, max_trace_drift=drift)

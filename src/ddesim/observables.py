@@ -1,8 +1,9 @@
 """Entanglement and photon-correlation diagnostics.
 
 Wootters concurrence of two-qubit states, quantum-jump photon correlations
-g2(tau) built from post-emission conditional states and propagated with the
-step operator expm(L dt) on a uniform delay grid, and FFT extraction of the
+g2(tau) built from post-emission conditional states and propagated in the
+real coordinates of the Hermitian basis (see liouvillian) with the step
+operator expm(L_H dt) on a uniform delay grid, and FFT extraction of the
 anti-bunching timescale. Times are in units of the inverse boson decay
 rate; absolute seconds enter only through the configured rate in Hz.
 """
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .liouvillian import Liouvillian, NumericalError, vec
+from .liouvillian import Liouvillian, NumericalError, _hermitian_coords, _hermitian_generator, vec
 from .models import adiabatic_eliminate, rabi_frequency
 from .operators import QUBIT_NUMBER, SIGMA_MINUS, DensityMatrix, embed
 
@@ -162,16 +163,19 @@ def g2_trace(l: Liouvillian, rho_ss: DensityMatrix, tau_max: float,
     """Photon correlation g2 over a uniform delay grid [0, tau_max].
 
     Propagates the normalized post-emission states of each bright emitter
-    under l and records sum_ij Tr[n_j rho_i(tau)]. With the step operator
-    P = expm(L dt), sample k is raw[k] = vec(N^T) P^k v, where N is the
-    number sum and v the summed post-jump states. Writing k = j b + i with
-    b ~ sqrt(n_samples), the b baby steps P^i v and the n_samples / b giant
-    steps vec(N^T) Q^j with Q = expm(L b dt) meet in one
+    under l and records sum_ij Tr[n_j rho_i(tau)]. Everything is real: in
+    the Hermitian basis the step operator is P = expm(L_H dt), and sample k
+    is raw[k] = c_N . P^k c_v, where c_N and c_v are the coordinates of the
+    number sum N and of the summed post-jump states. Writing k = j b + i
+    with b ~ sqrt(n_samples), the b baby steps P^i c_v and the
+    n_samples / b giant steps c_N Q^j meet in one
     (n_samples / b x d^2) (d^2 x b) matrix product. That replaces
     n_samples - 1 matrix-vector products issued one by one from Python with
-    about 2 sqrt(n_samples) of them and a single BLAS call. The zero delay
-    sample is always computed directly (no propagation), so it agrees
-    exactly with g2_zero.
+    about 2 sqrt(n_samples) of them and a single BLAS call. b is a power of
+    two, so the giant step Q = P^b is log2(b) squarings of P: the last
+    stage of the scaling and squaring that expm(L_H b dt) would run, which
+    leaves one matrix exponential per call. The zero delay sample is always
+    computed directly (no propagation), so it agrees exactly with g2_zero.
 
     tau_max should be long enough for the tail to settle; default_tau_max
     provides the standard window for a parameter set. n_samples must be a
@@ -187,17 +191,19 @@ def g2_trace(l: Liouvillian, rho_ss: DensityMatrix, tau_max: float,
     dt = tau_max / (n_samples - 1)
 
     n_baby = 1 << (n_samples.bit_length() // 2)
-    baby = np.empty((l.dim * l.dim, n_baby), dtype=complex)
-    baby[:, 0] = sum(vec(s.matrix) for s in initial)
-    step = scipy.linalg.expm(l.superop * dt)
+    baby = np.empty((l.dim * l.dim, n_baby))
+    baby[:, 0] = _hermitian_coords(sum(vec(s.matrix) for s in initial))
+    step = scipy.linalg.expm(_hermitian_generator(l) * dt)
     for i in range(1, n_baby):
         baby[:, i] = step @ baby[:, i - 1]
-    giant = np.empty((n_samples // n_baby, l.dim * l.dim), dtype=complex)
-    giant[0] = vec(number_sum.T)
-    giant_step = scipy.linalg.expm(l.superop * (n_baby * dt))
+    giant_step = step
+    for _ in range(n_baby.bit_length() - 1):
+        giant_step = giant_step @ giant_step
+    giant = np.empty((n_samples // n_baby, l.dim * l.dim))
+    giant[0] = _hermitian_coords(vec(number_sum))
     for j in range(1, giant.shape[0]):
         giant[j] = giant[j - 1] @ giant_step
-    raw = (giant @ baby).real.reshape(n_samples)
+    raw = (giant @ baby).reshape(n_samples)
 
     raw[0] = raw_zero
     normalized = raw / asymptote

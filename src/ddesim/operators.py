@@ -136,6 +136,9 @@ def embed(op: np.ndarray, site: int, layout: SpaceLayout) -> np.ndarray:
     """Tensor a single-subsystem operator with identities on all other sites.
 
     Subsystem order is preserved: embed(a, 1, [2,2,3]) acts as I (x) a (x) I.
+    With pre and post the dimensions before and after the site, the result
+    read as a (pre, d, post, pre, d, post) array is op on the entries whose
+    pre and post indices agree between rows and columns, and zero elsewhere.
     """
     op = np.asarray(op, dtype=complex)
     if site < 0 or site >= layout.n_subsystems:
@@ -143,10 +146,12 @@ def embed(op: np.ndarray, site: int, layout: SpaceLayout) -> np.ndarray:
     d = layout.dims[site]
     if op.shape != (d, d):
         raise ValueError(f"operator shape {op.shape} does not match subsystem dim {d}")
-    out = np.eye(1, dtype=complex)
-    for k, dk in enumerate(layout.dims):
-        out = np.kron(out, op if k == site else np.eye(dk, dtype=complex))
-    return out
+    pre = int(np.prod(layout.dims[:site]))
+    post = int(np.prod(layout.dims[site + 1:]))
+    out = np.zeros((pre, d, post, pre, d, post), dtype=complex)
+    i, k = np.arange(pre)[:, None], np.arange(post)
+    out[i, :, k, i, :, k] = op
+    return out.reshape(pre * d * post, pre * d * post)
 
 
 def boson_destroy(n_max: int) -> np.ndarray:

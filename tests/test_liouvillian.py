@@ -291,6 +291,23 @@ def test_no_path_computes_an_eigendecomposition(monkeypatch):
     assert calls == []
 
 
+def test_g2_trace_makes_one_matrix_exponential(monkeypatch):
+    # the giant step is squared from the baby step, not exponentiated again
+    shapes = []
+    real_expm = scipy.linalg.expm
+
+    def counting_expm(a, *args, **kwargs):
+        shapes.append((a.shape, a.dtype))
+        return real_expm(a, *args, **kwargs)
+
+    p = FullModelParams()
+    liou = build_liouvillian(*build_full_model(p))
+    rho = steady_state(liou)
+    monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
+    g2_trace(liou, rho, default_tau_max(p))
+    assert shapes == [(liou.superop.shape, np.dtype(float))]
+
+
 def test_truncation_check_decoupled_boson():
     # with g = eta_a = 0 the boson empties completely; occupancy ~ 0
     params = FullModelParams(g0=0.0, g1=0.0)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ddesim import (
     CorrelationTrace,
@@ -24,6 +25,7 @@ from ddesim import (
     post_jump_state,
     steady_state,
 )
+from ddesim.liouvillian import unvec, vec
 from ddesim.models import adiabatic_eliminate, rabi_frequency
 from ddesim.operators import QUBIT_NUMBER
 
@@ -161,6 +163,25 @@ def test_g2_zero_matches_trace_sample():
     assert trace.bright_emitters == (0, 1)
     assert trace.dark_emitters == ()
     assert np.abs(trace.normalized[-205:] - 1.0).max() <= 0.05
+
+
+@pytest.mark.parametrize("overrides", [{}, {"delta0": 0.013, "eta0": 0.07}],
+                         ids=["default", "asymmetric"])
+def test_g2_trace_matches_per_sample_expm(overrides):
+    # independent propagation: each delay gets its own exponential of the
+    # complex superoperator, applied to each bright emitter's post-jump state
+    p = FullModelParams(**overrides)
+    liou = build_liouvillian(*build_full_model(p))
+    rho = steady_state(liou)
+    trace = g2_trace(liou, rho, default_tau_max(p))
+    n = trace.raw.size
+    b = 1 << (n.bit_length() // 2)
+    number_sum = sum(embed(QUBIT_NUMBER, j, liou.layout) for j in (0, 1))
+    initial = [post_jump_state(rho, i)[0].matrix for i in trace.bright_emitters]
+    for k in (1, b - 1, b, b + 1, 1000, n - 1):
+        prop = scipy.linalg.expm(liou.superop * trace.taus[k])
+        want = sum(np.trace(number_sum @ unvec(prop @ vec(m))).real for m in initial)
+        assert abs(trace.raw[k] - want) <= 1e-10 * abs(want), k
 
 
 def test_g2_trace_records_dark_emitter():

@@ -19,7 +19,13 @@ from ddesim import (
     partial_trace,
     steady_state,
 )
-from ddesim.liouvillian import unvec, vec
+from ddesim.liouvillian import (
+    _hermitian_coords,
+    _hermitian_generator,
+    _hermitian_vec,
+    unvec,
+    vec,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=10, deadline=None, derandomize=True,
                              database=None)
@@ -42,6 +48,11 @@ def random_density(rng, dim):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
+
+
+def random_hermitian(rng, dim):
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return (a + a.conj().T) / 2
 
 
 def random_unitary(rng, dim):
@@ -106,3 +117,42 @@ def test_concurrence_bounded_and_local_unitary_invariant(p, seed):
     rotated = DensityMatrix.from_matrix(rho2q.layout, u @ rho2q.matrix @ u.conj().T,
                                         normalize=True)
     assert abs(concurrence(rotated).value - c) < 1e-9
+
+
+def hermitian_basis(d):
+    """Dense W: columns vec(E_ii), vec(E_ij + E_ji)/sqrt(2), vec(i (E_ij - E_ji))/sqrt(2), i < j."""
+    w = np.zeros((d * d, d * d), dtype=complex)
+    col = 0
+    for i in range(d):
+        w[i * (d + 1), col] = 1.0
+        col += 1
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    for phase in (1.0, 1j):
+        for i, j in pairs:
+            w[i + j * d, col] = phase / np.sqrt(2)
+            w[j + i * d, col] = np.conj(phase) / np.sqrt(2)
+            col += 1
+    return w
+
+
+@PROPERTY_SETTINGS
+@given(params_strategy, seeds)
+def test_hermitian_basis_generator_and_coordinates(p, seed):
+    rng = np.random.default_rng(seed)
+    liou = build_liouvillian(*build_full_model(p))
+    d = liou.dim
+    scale = np.abs(liou.superop).max()
+    w = hermitian_basis(d)
+    assert np.allclose(w.conj().T @ w, np.eye(d * d), rtol=0.0, atol=1e-15)
+    # W+ L W is real up to roundoff, and its real part is the generator
+    full = w.conj().T @ liou.superop @ w
+    assert np.abs(full.imag).max() < 1e-14 * scale
+    generator = _hermitian_generator(liou)
+    assert np.abs(generator - full.real).max() < 1e-14 * scale
+    # the generator acts on coordinates as L acts on matrices
+    a, b = random_hermitian(rng, d), random_hermitian(rng, d)
+    ca, cb = _hermitian_coords(vec(a)), _hermitian_coords(vec(b))
+    assert np.abs(generator @ ca - _hermitian_coords(vec(apply_liouvillian(liou, a)))).max() < 1e-14
+    # coordinates round-trip Hermitian matrices and preserve Tr(AB)
+    assert np.abs(unvec(_hermitian_vec(ca)) - a).max() < 1e-14
+    assert abs(ca @ cb - np.trace(a @ b).real) < 1e-14 * np.linalg.norm(a) * np.linalg.norm(b)
