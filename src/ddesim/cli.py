@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, parse_config
-from .liouvillian import PROPAGATION_METHOD, build_liouvillian, evolve, steady_state
+from .liouvillian import PROPAGATION_METHOD, NumericalError, build_liouvillian, evolve, steady_state
 from .models import (
     build_full_model,
     boson_number,
@@ -33,12 +33,7 @@ from .models import (
     ground_state,
     rabi_frequency,
 )
-from .observables import (
-    NUMERICAL_ERRORS,
-    concurrence,
-    default_tau_max,
-    g2_trace,
-)
+from .observables import concurrence, default_tau_max, g2_trace
 from .operators import QUBIT_NUMBER, embed, partial_trace
 from .sweep import GridSpec, run_sweep
 from .validate import run_validation
@@ -197,10 +192,13 @@ def _cell_error(cell) -> str:
     return (cell.error or "").replace(",", ";").replace("\n", " ")
 
 
-def _run_map(cfg: RunConfig, workers: int, command: str, observables: tuple[str, ...]):
-    """Sweep a map grid: the result, the shared comment lines and the shared meta keys."""
+def _run_map(cfg: RunConfig, command: str, observables: tuple[str, ...]):
+    """Sweep a map grid: the result, the shared comment lines and the shared meta keys.
+
+    Without a configured worker count the sweep uses one process per CPU.
+    """
     spec = _grid_spec(cfg, command, observables)
-    result = run_sweep(spec, workers=workers)
+    result = run_sweep(spec, workers=cfg.workers or os.cpu_count() or 1)
     comments = _provenance(command, cfg)
     comments.append(f"axis1={spec.axis1}, axis2={spec.axis2}")
     failed = sum(0 if r.ok else 1 for r in result.rows)
@@ -218,16 +216,15 @@ def _map_rows(result, values) -> list[list]:
     return rows
 
 
-def cmd_concurrence_map(cfg: RunConfig, workers: int):
-    result, comments, extra = _run_map(cfg, workers, "concurrence-map",
-                                       ("concurrence", "g2_zero"))
+def cmd_concurrence_map(cfg: RunConfig):
+    result, comments, extra = _run_map(cfg, "concurrence-map", ("concurrence", "g2_zero"))
     header = ["axis1_value", "axis2_value", "concurrence", "g2_zero", "error"]
     rows = _map_rows(result, lambda cell: (cell.concurrence, cell.g2_zero))
     return comments, header, rows, extra
 
 
-def cmd_timescale_map(cfg: RunConfig, workers: int):
-    result, comments, extra = _run_map(cfg, workers, "timescale-map", ("timescale",))
+def cmd_timescale_map(cfg: RunConfig):
+    result, comments, extra = _run_map(cfg, "timescale-map", ("timescale",))
     gamma_a_abs = cfg.params.gamma_a_abs
     unit_scale = np.pi if cfg.pi_units else 1.0
     unit_name = "T = 1/(pi*gamma_a)" if cfg.pi_units else "T = 1/gamma_a"
@@ -274,6 +271,8 @@ _HANDLERS = {
     "populations": cmd_populations,
     "steady": cmd_steady,
     "g2": cmd_g2,
+    "concurrence-map": cmd_concurrence_map,
+    "timescale-map": cmd_timescale_map,
 }
 
 
@@ -300,20 +299,14 @@ def main(argv=None) -> int:
             return 3
         return 0
 
-    workers = cfg.workers if cfg.workers is not None else (os.cpu_count() or 1)
     out = cfg.out or args.command.replace("-", "_") + ".csv"
     t0 = time.perf_counter()
     try:
-        if args.command == "concurrence-map":
-            payload = cmd_concurrence_map(cfg, workers)
-        elif args.command == "timescale-map":
-            payload = cmd_timescale_map(cfg, workers)
-        else:
-            payload = _HANDLERS[args.command](cfg)
+        payload = _HANDLERS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except NUMERICAL_ERRORS as exc:
+    except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
 

@@ -33,6 +33,7 @@ import scipy.linalg
 from scipy.linalg.lapack import zgecon, zgetrf, zgetrs
 
 from .operators import (
+    EIG_TOL,
     DensityMatrix,
     SpaceLayout,
     hermitize,
@@ -48,8 +49,6 @@ RESIDUAL_TOL = 1e-10
 # sectors (~1e-19)
 RCOND_TOL = 1e-11
 TRACE_DRIFT_TOL = 1e-9
-STEADY_EIG_TOL = 1e-9
-EVOLVED_EIG_TOL = 1e-8
 # largest deviation of a time step from the mean step, relative to it, that
 # still counts as a uniform grid (np.linspace rounds at about 1e-13)
 UNIFORM_GRID_RTOL = 1e-9
@@ -59,7 +58,12 @@ PROPAGATION_METHOD = "expm"
 
 
 class NumericalError(RuntimeError):
-    """A numerical tolerance contract was violated."""
+    """A numerical tolerance contract was violated.
+
+    The one class of failure that parameter choices can cause: a sweep flags
+    the cell with it, the CLI exits with code 2. Any other exception is a
+    programming error and propagates.
+    """
 
 
 class DegenerateSteadyStateError(NumericalError):
@@ -310,8 +314,7 @@ def evolve(l: Liouvillian, rho0: DensityMatrix, times) -> EvolveResult:
 
     mats = _hermitian_vec(cols)
     states = tuple(
-        DensityMatrix.from_matrix(rho0.layout, unvec(mats[:, k]), normalize=True,
-                                  eig_tol=EVOLVED_EIG_TOL)
+        DensityMatrix.from_matrix(rho0.layout, unvec(mats[:, k]), normalize=True)
         for k in range(t.size))
     return EvolveResult(times=t, states=states, max_trace_drift=drift)
 
@@ -359,10 +362,10 @@ def steady_state(l: Liouvillian) -> DensityMatrix:
         raise NumericalError(
             f"steady-state residual {res:.3e} exceeds {RESIDUAL_TOL:.0e}")
     min_eig = float(np.linalg.eigvalsh(m).min())
-    if min_eig < -STEADY_EIG_TOL:
+    if min_eig < -EIG_TOL:
         raise NumericalError(
-            f"steady state has negative eigenvalue {min_eig:.3e} below -{STEADY_EIG_TOL:.0e}")
-    return DensityMatrix(l.layout, m, STEADY_EIG_TOL)
+            f"steady state has negative eigenvalue {min_eig:.3e} below -{EIG_TOL:.0e}")
+    return DensityMatrix(l.layout, m)
 
 
 def steady_state_residual(l: Liouvillian, rho: DensityMatrix) -> float:

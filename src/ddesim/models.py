@@ -40,7 +40,8 @@ class FullModelParams:
 
     Detunings (delta*), drives (eta*), couplings (g*) and rates (gamma_r*,
     gamma_d*) are dimensionless ratios of the boson decay rate; gamma_a_abs
-    is that decay rate in Hz and only enters absolute-time conversion.
+    is that decay rate in Hz, must be positive, and only enters
+    absolute-time conversion.
     relaxation_operator selects the qubit relaxation jump: "lower" is the
     physical choice, "raise" reproduces a raising-operator variant for
     comparison.
@@ -63,9 +64,11 @@ class FullModelParams:
     relaxation_operator: str = "lower"
 
     def __post_init__(self):
-        for name in ("gamma_r0", "gamma_r1", "gamma_d0", "gamma_d1", "gamma_a_abs"):
+        for name in ("gamma_r0", "gamma_r1", "gamma_d0", "gamma_d1"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
+        if not self.gamma_a_abs > 0:
+            raise ValueError(f"gamma_a_abs must be positive, got {self.gamma_a_abs}")
         for f in dataclasses.fields(self):
             v = getattr(self, f.name)
             if isinstance(v, (int, float)) and not np.isfinite(v):

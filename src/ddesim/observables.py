@@ -28,18 +28,12 @@ DEFAULT_N_SAMPLES = 4096
 MIN_N_SAMPLES = 256
 
 
-class DarkEmitterError(ValueError):
+class DarkEmitterError(NumericalError):
     """The requested emitter carries no excitation to emit."""
 
 
-class FlatSpectrumError(ValueError):
+class FlatSpectrumError(NumericalError):
     """The correlation spectrum has no oscillation peak (overdamped regime)."""
-
-
-# failures that parameter choices can cause: a sweep flags the cell, the CLI
-# exits with code 2; anything else is a programming error and propagates
-NUMERICAL_ERRORS = (NumericalError, DarkEmitterError, FlatSpectrumError, ValueError,
-                    FloatingPointError, np.linalg.LinAlgError)
 
 
 @dataclass(frozen=True)
@@ -229,7 +223,7 @@ def default_tau_max(params) -> float:
 
     Ten oscillation periods 2*pi/Omega_est, but at least 50 relaxation
     times of the slower of the two effective qubit decay rates so that the
-    tail has settled.
+    tail has settled. Parameters with neither timescale raise NumericalError.
     """
     omega = rabi_frequency(params)
     e = adiabatic_eliminate(params)
@@ -238,7 +232,7 @@ def default_tau_max(params) -> float:
     relax = 50.0 / gamma_slow if gamma_slow > 0 else 0.0
     window = max(osc, relax)
     if window <= 0:
-        raise ValueError("parameters define no oscillation or relaxation timescale")
+        raise NumericalError("parameters define no oscillation or relaxation timescale")
     return window
 
 

@@ -87,7 +87,6 @@ class DensityMatrix:
 
     layout: SpaceLayout
     matrix: np.ndarray = field(repr=False)
-    eig_tol: float = EIG_TOL
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -100,15 +99,15 @@ class DensityMatrix:
         if np.max(np.abs(m - m.conj().T)) > HERM_TOL:
             raise ValueError("matrix is not Hermitian within 1e-10")
         min_eig = float(np.linalg.eigvalsh(hermitize(m)).min())
-        if min_eig < -self.eig_tol:
-            raise ValueError(f"negative eigenvalue {min_eig} below -{self.eig_tol}")
+        if min_eig < -EIG_TOL:
+            raise ValueError(f"negative eigenvalue {min_eig} below -{EIG_TOL}")
         m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
     @classmethod
     def from_matrix(cls, layout: SpaceLayout, matrix: np.ndarray,
-                    normalize: bool = False, eig_tol: float = EIG_TOL) -> "DensityMatrix":
+                    normalize: bool = False) -> "DensityMatrix":
         m = np.asarray(matrix, dtype=complex)
         if normalize:
             m = hermitize(m)
@@ -116,7 +115,7 @@ class DensityMatrix:
             if abs(tr) < 1e-300:
                 raise ValueError("cannot normalize a traceless matrix")
             m = m / tr
-        return cls(layout, m, eig_tol)
+        return cls(layout, m)
 
     @classmethod
     def pure(cls, layout: SpaceLayout, ket: np.ndarray) -> "DensityMatrix":

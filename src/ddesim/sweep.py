@@ -2,12 +2,12 @@
 
 Each grid cell independently builds the full model, solves for its steady
 state, and evaluates the requested observables. Cells where the solve or
-the correlation analysis fails numerically (observables.NUMERICAL_ERRORS)
-are flagged with the error message and excluded from summary statistics,
-never given fabricated values; any other exception propagates. Results
-are collected in grid order, so output is identical for any worker count.
-truncation_check repeats the steady-state observables of one cell at the
-next boson truncation.
+the correlation analysis raises a NumericalError are flagged with the error
+message and excluded from summary statistics, never given fabricated
+values; any other exception propagates. Results are collected in grid
+order, so output is identical for any worker count. truncation_check
+repeats the steady-state observables of one cell at the next boson
+truncation.
 """
 
 from __future__ import annotations
@@ -19,11 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liouvillian import build_liouvillian, steady_state
+from .liouvillian import NumericalError, build_liouvillian, steady_state
 from .models import FullModelParams, build_full_model
 from .observables import (
     DEFAULT_N_SAMPLES,
-    NUMERICAL_ERRORS,
     concurrence,
     default_tau_max,
     extract_timescale,
@@ -46,8 +45,9 @@ class GridSpec:
     """Sweep definition: one or two linear parameter axes over a base model.
 
     Each axis is (field name, min, max, n_points) with inclusive linear
-    spacing; the field must be a float parameter of FullModelParams.
-    observables selects what to evaluate per cell.
+    spacing; the field must be a float parameter of FullModelParams, and
+    the base model must be valid at both ends of each axis. observables
+    selects what to evaluate per cell.
     """
 
     axis1: tuple[str, float, float, int]
@@ -56,8 +56,7 @@ class GridSpec:
     observables: tuple[str, ...] = ("concurrence",)
 
     def __post_init__(self):
-        axes = (self.axis1,) if self.axis2 is None else (self.axis1, self.axis2)
-        for name, lo, hi, n in axes:
+        for name, lo, hi, n in self.axes:
             if name not in _SWEEPABLE:
                 raise ValueError(
                     f"unknown sweep parameter {name!r}; choose from {_SWEEPABLE}")
@@ -65,6 +64,8 @@ class GridSpec:
                 raise ValueError(f"axis over {name!r} needs n_points >= 2, got {n}")
             if not lo < hi:
                 raise ValueError(f"axis over {name!r} needs min < max, got [{lo}, {hi}]")
+            for end in (lo, hi):  # FullModelParams rejects an out-of-range end
+                dataclasses.replace(self.base, **{name: float(end)})
         if self.axis2 is not None and self.axis2[0] == self.axis1[0]:
             raise ValueError(f"both axes sweep {self.axis1[0]!r}")
         if not self.observables:
@@ -72,6 +73,10 @@ class GridSpec:
         for obs in self.observables:
             if obs not in OBSERVABLE_NAMES:
                 raise ValueError(f"unknown observable {obs!r}; choose from {OBSERVABLE_NAMES}")
+
+    @property
+    def axes(self) -> tuple[tuple[str, float, float, int], ...]:
+        return (self.axis1,) if self.axis2 is None else (self.axis1, self.axis2)
 
     def axis_values(self, which: int) -> np.ndarray:
         axis = self.axis1 if which == 0 else self.axis2
@@ -140,7 +145,7 @@ def _evaluate_cell(args: tuple[FullModelParams, tuple[str, ...], tuple[float, ..
         if "timescale" in observables:
             trace = g2_trace(liou, rho_ss, default_tau_max(params), DEFAULT_N_SAMPLES)
             period = extract_timescale(trace, params.gamma_a_abs).period_native
-    except NUMERICAL_ERRORS as exc:  # flagged, never fabricated
+    except NumericalError as exc:  # flagged, never fabricated
         error = f"{type(exc).__name__}: {exc}"
     cell = CellResult(axis_values=axis_values, concurrence=conc, g2_zero=g2z,
                       period_native=period, error=error)
@@ -153,13 +158,8 @@ def run_sweep(spec: GridSpec, workers: int = 1) -> SweepResult:
     Collection order is the grid order for any worker count, so results do
     not depend on scheduling.
     """
-    cells = spec.cells()
-    if spec.axis2 is None:
-        axis_vals = [(float(v),) for v in spec.axis_values(0)]
-    else:
-        axis_vals = [(float(v1), float(v2))
-                     for v1 in spec.axis_values(0) for v2 in spec.axis_values(1)]
-    jobs = [(p, spec.observables, av) for p, av in zip(cells, axis_vals)]
+    jobs = [(p, spec.observables, tuple(getattr(p, axis[0]) for axis in spec.axes))
+            for p in spec.cells()]
 
     if workers <= 1:
         outcomes = [_evaluate_cell(j) for j in jobs]

@@ -256,6 +256,20 @@ def test_bad_set_value_exits_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["g2", "--set", "gamma_a_abs=0"],
+    ["timescale-map", "--set", "gamma_a_abs=0", "--set", "axis1=eta1",
+     "--set", "axis1_min=0.028", "--set", "axis1_max=0.032", "--set", "axis1_points=2"],
+    ["concurrence-map", "--set", "axis1=gamma_r0", "--set", "axis1_min=-1e-3",
+     "--set", "axis1_max=1e-3", "--set", "axis1_points=3"],
+], ids=["g2-zero-rate", "timescale-map-zero-rate", "negative-rate-axis"])
+def test_out_of_range_parameters_exit_config_error(tmp_path, capsys, argv):
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_validate_exit_codes(monkeypatch, capsys):
     monkeypatch.setattr("ddesim.cli.run_validation", lambda: 0)
     assert main(["validate"]) == 0

@@ -48,6 +48,8 @@ def test_params_validation():
         FullModelParams(gamma_r0=-1e-9)
     with pytest.raises(ValueError):
         FullModelParams(gamma_a_abs=-1.0)
+    with pytest.raises(ValueError, match="gamma_a_abs must be positive"):
+        FullModelParams(gamma_a_abs=0.0)
     with pytest.raises(ValueError):
         FullModelParams(delta0=np.inf)
     with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ddesim import (
+    DarkEmitterError,
     FullModelParams,
     GridSpec,
     NumericalError,
@@ -36,6 +37,11 @@ def test_grid_spec_validation():
         GridSpec(axis1=("delta0", 0.0, 1.0, 3), observables=())
     with pytest.raises(ValueError):
         GridSpec(axis1=("delta0", 0.0, 1.0, 3), observables=("fidelity",))
+    # the base model must be valid at both ends of every axis
+    with pytest.raises(ValueError, match="gamma_r0"):
+        GridSpec(axis1=("gamma_r0", -1e-3, 1e-3, 3))
+    with pytest.raises(ValueError, match="gamma_a_abs"):
+        GridSpec(axis1=("delta0", 0.0, 1.0, 3), axis2=("gamma_a_abs", 0.0, 1e12, 3))
 
 
 def test_grid_cells_row_major_order():
@@ -84,9 +90,14 @@ def test_only_numerical_failures_become_error_cells(monkeypatch):
     monkeypatch.setattr("ddesim.sweep.steady_state", failing_with(NumericalError("drift")))
     rows = run_sweep(spec).rows
     assert [r.error for r in rows] == ["NumericalError: drift"] * 2
-    monkeypatch.setattr("ddesim.sweep.steady_state", failing_with(TypeError("bug")))
-    with pytest.raises(TypeError, match="bug"):
-        run_sweep(spec)
+    monkeypatch.setattr("ddesim.sweep.steady_state",
+                        failing_with(DarkEmitterError("both emitters dark")))
+    rows = run_sweep(spec).rows
+    assert [r.error for r in rows] == ["DarkEmitterError: both emitters dark"] * 2
+    for bug in (TypeError("bug"), ValueError("bug")):
+        monkeypatch.setattr("ddesim.sweep.steady_state", failing_with(bug))
+        with pytest.raises(type(bug), match="bug"):
+            run_sweep(spec)
 
 
 def test_sweep_rows_independent_of_worker_count():
