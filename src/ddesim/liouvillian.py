@@ -1,42 +1,43 @@
 """Lindblad generators: construction, propagation, steady states.
 
 The generator rho_dot = -i[H, rho] + sum_k gamma_k (L_k rho L_k+ - {L_k+ L_k, rho}/2)
-is materialized as a dense superoperator acting on column-stacked vectorized
-density matrices, vec(A X B) = (B^T kron A) vec(X). With the effective
-non-Hermitian Hamiltonian K = -i H - (1/2) sum_k gamma_k L_k+ L_k it reads
-1 kron K + conj(K) kron 1 + sum_k gamma_k conj(L_k) kron L_k, and it is
-assembled without forming a Kronecker product: (A kron B)[a d + b, c d + e]
-= A[a, c] B[b, e] makes the jump sum one matrix product and the K terms
-adds on diagonal blocks. The steady state is one LU solve of the
-superoperator with the trace condition substituted for its first row.
+is stored as one real matrix. The orthonormal Hermitian basis
+{E_ii, (E_ij + E_ji)/sqrt(2), i (E_ij - E_ji)/sqrt(2) : i < j} is the
+unitary W on column-stacked vectorized matrices, vec(A X B) =
+(B^T kron A) vec(X), with at most two nonzeros per column. L maps Hermitian
+matrices to Hermitian matrices, so L_H = W+ L W is a real d^2 x d^2 matrix.
+A Hermitian rho has the real coordinates c = W+ vec(rho); its trace is the
+sum of the diagonal coordinates and Tr(N rho) = c_N . c_rho.
 
-Propagation has one path, in real coordinates. The orthonormal Hermitian
-basis {E_ii, (E_ij + E_ji)/sqrt(2), i (E_ij - E_ji)/sqrt(2) : i < j} is the
-unitary W with at most two nonzeros per column. L maps Hermitian matrices to
-Hermitian matrices, so L_H = W+ L W is a real d^2 x d^2 matrix; it is read
-off the superoperator by index arithmetic, never by a product with W. A
-Hermitian rho has the real coordinates c = W+ vec(rho); its trace is the sum
-of the diagonal coordinates and Tr(N rho) = c_N . c_rho. On a uniform time
-grid the real step operator expm(L_H dt) is formed once by scaling and
-squaring and the coordinates are stepped by matrix-vector products. Unlike
-an eigendecomposition of L, whose eigenbasis becomes ill-conditioned near
+L_H is assembled from the nonzero entries of the effective non-Hermitian
+Hamiltonian K = -i H - (1/2) sum_k gamma_k L_k+ L_k and of the jump
+operators, never from the complex superoperator: each entry
+B[x, u] conj(A[y, v]) of a term X -> B X A+ lands on at most four entries of
+L_H, and all of them are summed into a dense array by one scatter. The
+steady state is one real LU solve of L_H with the trace condition
+substituted for its first row.
+
+Propagation works on the coordinates. On a uniform time grid the real step
+operator expm(L_H dt) is formed once by scaling and squaring and the
+coordinates are stepped by matrix-vector products. Unlike an
+eigendecomposition of L, whose eigenbasis becomes ill-conditioned near
 exceptional points, the scaling and squaring does not depend on that
 conditioning.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import zgecon, zgetrf, zgetrs
+from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
 
 from .operators import (
     EIG_TOL,
     DensityMatrix,
     SpaceLayout,
-    hermitize,
     is_hermitian,
 )
 
@@ -45,8 +46,8 @@ from .operators import (
 RESIDUAL_TOL = 1e-10
 # reciprocal condition number of the bordered steady-state matrix below which
 # the kernel counts as degenerate; it tracks the second-smallest |eigenvalue|
-# (about 0.13x) and sits between healthy cells (>= 2e-8) and decoupled
-# sectors (~1e-19)
+# (about 0.12x) and sits between healthy cells (>= 2e-8) and decoupled
+# sectors (~1e-20)
 RCOND_TOL = 1e-11
 TRACE_DRIFT_TOL = 1e-9
 # largest deviation of a time step from the mean step, relative to it, that
@@ -104,30 +105,43 @@ def unvec(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Liouvillian:
-    """Dense Lindblad superoperator on a labeled space.
+    """Lindblad generator on a labeled space, stored as the real matrix L_H = W+ L W.
 
+    generator acts on the real coordinates of the Hermitian basis (module
+    docstring) and is read-only; every solver and propagation path reads it.
     Immutable after construction; safe to share across sweep workers.
     """
 
     layout: SpaceLayout
-    superop: np.ndarray = field(repr=False)
+    generator: np.ndarray = field(repr=False)
 
     @property
     def dim(self) -> int:
         return self.layout.total_dim
 
+    @property
+    def superop(self) -> np.ndarray:
+        """Complex superoperator W L_H W+ on column-stacked vec(rho).
+
+        Rebuilt from the generator on every access, for oracles and callers
+        that want the vectorized form; no solver or propagation path reads it.
+        """
+        return _hermitian_vec(_hermitian_vec(self.generator).conj().T).conj().T
+
 
 def build_liouvillian(h: np.ndarray, jumps: list[JumpTerm] | tuple[JumpTerm, ...],
                       layout: SpaceLayout | None = None) -> Liouvillian:
-    """Assemble the dense superoperator for Hamiltonian h and jump terms.
+    """Assemble the real generator L_H for Hamiltonian h and jump terms.
 
-    It is 1 kron K + conj(K) kron 1 + sum_j rate_j conj(L_j) kron L_j with
-    K = -i h - (1/2) sum_j rate_j L_j+ L_j. Entry [a, b, c, e] of A kron B,
-    read as a (d, d, d, d) array, is A[a, c] B[b, e]. So the jump sum is one
-    (d^2 x m) (m x d^2) product over the (a c), (b e) index pairs of the m
-    channels with nonzero rate, copied into (a b), (c e) order, and K and
-    conj(K) are added on the diagonal blocks a = c and b = e. The result is
-    read-only.
+    The superoperator is the sum of the terms X -> B X A+ with entries
+    S[x + y d, u + v d] = B[x, u] conj(A[y, v]): K X + X K+ with
+    K = -i h - (1/2) sum_j rate_j L_j+ L_j, and rate_j L_j X L_j+ for each
+    channel with nonzero rate. Only the nonzero entries of K and of the L_j
+    are visited. On Hermitian X the real part of W+ (X K+) W equals that of
+    W+ (K X) W, so K enters once, doubled. Each entry S[p, q] adds
+    Re(conj(W[p, a]) S[p, q] W[q, b]) to L_H[a, b] for the at most two basis
+    columns a of position p and b of position q, and one bincount sums all
+    of them. The result is read-only.
 
     Parameters
     ----------
@@ -143,8 +157,8 @@ def build_liouvillian(h: np.ndarray, jumps: list[JumpTerm] | tuple[JumpTerm, ...
     ------
     ValueError
         If h is not square or not Hermitian, the layout or a jump operator
-        (whatever its rate) does not match its dimension, or the
-        superoperator has a non-finite entry.
+        (whatever its rate) does not match its dimension, or the generator
+        has a non-finite entry.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -157,40 +171,53 @@ def build_liouvillian(h: np.ndarray, jumps: list[JumpTerm] | tuple[JumpTerm, ...
     if layout.total_dim != d:
         raise ValueError(f"layout dimension {layout.total_dim} does not match Hamiltonian dim {d}")
 
+    k = -1j * h
     live = []
     for j in jumps:
         if j.operator.shape != (d, d):
             raise ValueError(f"jump operator shape {j.operator.shape} does not match dim {d}")
         if j.rate != 0.0:
             live.append(j)
+            k -= 0.5 * j.rate * (j.operator.conj().T @ j.operator)
 
-    # jump-sum factors indexed by (a c) and (b e)
-    left = np.empty((d * d, len(live)), dtype=complex)
-    right = np.empty((len(live), d * d), dtype=complex)
-    k = -1j * h
-    for n, j in enumerate(live):
-        left[:, n] = j.rate * j.operator.conj().ravel()
-        right[n] = j.operator.ravel()
-        k -= 0.5 * j.rate * (j.operator.conj().T @ j.operator)
-    sop = np.empty((d * d, d * d), dtype=complex)
-    blocks = sop.reshape(d, d, d, d)
-    blocks[...] = (left @ right).reshape(d, d, d, d).transpose(0, 2, 1, 3)
-    diag = np.arange(d)
-    blocks[diag, :, diag, :] += k
-    blocks[:, diag, :, diag] += k.conj()
-    if not np.all(np.isfinite(sop)):
-        raise ValueError("superoperator has non-finite entries")
+    # channel entries: every pair of nonzeros of one operator
+    rates = np.array([j.rate for j in live])
+    ops = np.array([j.operator for j in live], dtype=complex).reshape(-1, d, d)
+    chan, x, u = np.nonzero(ops)
+    op_vals = ops[chan, x, u]
+    a, b = np.nonzero(chan[:, None] == chan[None, :])
+    # K entries: K[x, u] at every y = v
+    kx, ku = np.nonzero(k)
+    offsets = np.arange(d) * d
+    p = np.concatenate(((kx[:, None] + offsets).ravel(), x[a] + x[b] * d))
+    q = np.concatenate(((ku[:, None] + offsets).ravel(), u[a] + u[b] * d))
+    vals = np.concatenate((np.repeat(2.0 * k[kx, ku], d),
+                           rates[chan[a]] * op_vals[a] * op_vals[b].conj()))
 
-    sop.flags.writeable = False
-    return Liouvillian(layout, sop)
+    n = d * d
+    col, coef = _basis_map(d)
+    index = col.take(p, axis=1)[:, None] * n + col.take(q, axis=1)[None]
+    weights = (coef.take(p, axis=1).conj()[:, None] * (coef.take(q, axis=1) * vals)[None]).real
+    generator = np.bincount(index.ravel(), weights.ravel(), minlength=n * n).reshape(n, n)
+    if not np.all(np.isfinite(generator)):
+        raise ValueError("generator has non-finite entries")
+
+    generator.flags.writeable = False
+    return Liouvillian(layout, generator)
 
 
 def apply_liouvillian(l: Liouvillian, rho: DensityMatrix | np.ndarray) -> np.ndarray:
-    """Evaluate d(rho)/dt for a state; Hermitian and traceless up to roundoff."""
+    """Evaluate d(rho)/dt for a state; Hermitian and traceless up to roundoff.
+
+    L is complex-linear, so a matrix that is not Hermitian is evaluated as
+    its Hermitian part plus i times the Hermitian part of -i rho.
+    """
     m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     if m.shape != (l.dim, l.dim):
         raise ValueError(f"state shape {m.shape} does not match Liouvillian dim {l.dim}")
-    return unvec(l.superop @ vec(m))
+    v = vec(m)
+    out = _hermitian_vec(l.generator @ _hermitian_coords(np.stack((v, -1j * v), axis=1)))
+    return unvec(out[:, 0] + 1j * out[:, 1])
 
 
 _SQRT_HALF = np.sqrt(0.5)
@@ -202,29 +229,27 @@ def _hermitian_index(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.arange(d) * (d + 1), i + j * d, j + i * d
 
 
-def _hermitian_generator(l: Liouvillian) -> np.ndarray:
-    """Real generator L_H = W+ L W in the Hermitian basis [diagonal | symmetric | antisymmetric].
+@functools.lru_cache(maxsize=8)
+def _basis_map(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Scatter tables of W for build_liouvillian, each of shape (2, d^2), read-only.
 
-    The superoperator is permuted once into [diagonal | upper | transpose
-    partner] blocks; the symmetric and antisymmetric combinations of the
-    last two are then block adds on the real and imaginary parts. What is
-    dropped is the imaginary part of W+ L W, which vanishes up to roundoff.
+    Column p holds the at most two basis columns a with W[p, a] != 0 and
+    the values W[p, a]; a diagonal position has one, and its second slot
+    has coefficient 0.
     """
-    d = l.dim
     diag, upper, lower = _hermitian_index(d)
-    order = np.concatenate((diag, upper, lower))
-    x = l.superop.take(order, axis=0).take(order, axis=1)
-    re, im = x.real, x.imag
-    dg, up, lo = slice(0, d), slice(d, d + upper.size), slice(d + upper.size, d * d)
-    s = _SQRT_HALF
-    # real and imaginary parts of the rows of W+ L
-    rows_re = np.concatenate((re[dg], s * (re[up] + re[lo]), s * (im[up] - im[lo])))
-    rows_im = np.concatenate((im[dg], s * (im[up] + im[lo]), s * (re[lo] - re[up])))
-    out = np.empty((d * d, d * d))
-    out[:, dg] = rows_re[:, dg]
-    out[:, up] = s * (rows_re[:, up] + rows_re[:, lo])
-    out[:, lo] = s * (rows_im[:, lo] - rows_im[:, up])
-    return out
+    pair = np.arange(upper.size)
+    col = np.zeros((2, d * d), dtype=np.intp)
+    col[0, diag] = np.arange(d)
+    col[0, upper] = col[0, lower] = d + pair
+    col[1, upper] = col[1, lower] = d + upper.size + pair
+    coef = np.zeros((2, d * d), dtype=complex)
+    coef[0, diag] = 1.0
+    coef[0, upper] = coef[0, lower] = _SQRT_HALF
+    coef[1, upper] = 1j * _SQRT_HALF
+    coef[1, lower] = -1j * _SQRT_HALF
+    col.flags.writeable = coef.flags.writeable = False
+    return col, coef
 
 
 def _hermitian_coords(v: np.ndarray) -> np.ndarray:
@@ -241,7 +266,10 @@ def _hermitian_coords(v: np.ndarray) -> np.ndarray:
 
 
 def _hermitian_vec(c: np.ndarray) -> np.ndarray:
-    """Column-stacked Hermitian matrices W c with real coordinates c along axis 0."""
+    """Column-stacked matrices W c for coordinates c along axis 0.
+
+    Real c gives Hermitian matrices; W is linear, so complex c is accepted.
+    """
     d = int(round(np.sqrt(c.shape[0])))
     diag, upper, lower = _hermitian_index(d)
     sym, anti = _SQRT_HALF * c[d:d + upper.size], _SQRT_HALF * c[d + upper.size:]
@@ -301,11 +329,10 @@ def evolve(l: Liouvillian, rho0: DensityMatrix, times) -> EvolveResult:
         raise ValueError("initial state dimension does not match Liouvillian")
     t, dt = _uniform_times(times)
 
-    generator = _hermitian_generator(l)
     cols = np.empty((l.dim * l.dim, t.size))
-    cols[:, 0] = scipy.linalg.expm(generator * t[0]) @ _hermitian_coords(vec(rho0.matrix))
+    cols[:, 0] = scipy.linalg.expm(l.generator * t[0]) @ _hermitian_coords(vec(rho0.matrix))
     if t.size > 1:
-        step = scipy.linalg.expm(generator * dt)
+        step = scipy.linalg.expm(l.generator * dt)
         for k in range(1, t.size):
             cols[:, k] = step @ cols[:, k - 1]
     drift = float(np.max(np.abs(cols[:l.dim].sum(axis=0) - 1.0)))
@@ -319,19 +346,14 @@ def evolve(l: Liouvillian, rho0: DensityMatrix, times) -> EvolveResult:
     return EvolveResult(times=t, states=states, max_trace_drift=drift)
 
 
-def _trace_row(d: int) -> np.ndarray:
-    row = np.zeros(d * d, dtype=complex)
-    row[::d + 1] = 1.0  # diagonal positions of column-stacked vec
-    return row
-
-
 def steady_state(l: Liouvillian) -> DensityMatrix:
     """Unique fixed point of the generator.
 
-    One LU solve of the superoperator with its first row replaced by the
-    trace condition Tr(rho) = 1; the solution is hermitized and
-    trace-normalized. The reciprocal condition number of the same LU factor
-    decides whether the kernel is unique.
+    One real LU solve of L_H with its first row replaced by the trace
+    condition Tr(rho) = 1, which is the sum of the diagonal coordinates;
+    the solution is trace-normalized and is Hermitian by construction. The
+    reciprocal condition number of the same LU factor decides whether the
+    kernel is unique.
 
     Raises
     ------
@@ -339,28 +361,30 @@ def steady_state(l: Liouvillian) -> DensityMatrix:
         If the bordered matrix is singular or its reciprocal condition
         number is below 1e-11 (decoupled sectors).
     NumericalError
-        If the residual stays above 1e-10 or the state has an eigenvalue
+        If the residual is not below 1e-10 or the state has an eigenvalue
         below -1e-9.
     """
     d = l.dim
-    a = np.array(l.superop, order="F")
-    a[0, :] = _trace_row(d)
+    a = np.array(l.generator, order="F")
+    a[0] = 0.0
+    a[0, :d] = 1.0
     anorm = np.linalg.norm(a, 1)
-    lu, piv, info = zgetrf(a, overwrite_a=True)
-    rcond = zgecon(lu, anorm)[0] if info == 0 else 0.0
+    lu, piv, info = dgetrf(a, overwrite_a=True)
+    rcond = dgecon(lu, anorm)[0] if info == 0 else 0.0
     if rcond < RCOND_TOL:
         raise DegenerateSteadyStateError(
             f"Liouvillian kernel is degenerate (reciprocal condition {rcond:.3e} of "
             f"the trace-bordered generator is below {RCOND_TOL:.0e}); no unique "
             "steady state. This signals a decoupled-sector parameter choice.")
-    b = np.zeros(d * d, dtype=complex)
+    b = np.zeros(d * d)
     b[0] = 1.0
-    m = hermitize(unvec(zgetrs(lu, piv, b)[0]))
-    m = m / np.trace(m).real
-    res = float(np.max(np.abs(l.superop @ vec(m))))
-    if res >= RESIDUAL_TOL:
+    c = dgetrs(lu, piv, b)[0]
+    c = c / c[:d].sum()
+    res = _residual(l, c)
+    if not res < RESIDUAL_TOL:
         raise NumericalError(
             f"steady-state residual {res:.3e} exceeds {RESIDUAL_TOL:.0e}")
+    m = unvec(_hermitian_vec(c))
     min_eig = float(np.linalg.eigvalsh(m).min())
     if min_eig < -EIG_TOL:
         raise NumericalError(
@@ -368,6 +392,11 @@ def steady_state(l: Liouvillian) -> DensityMatrix:
     return DensityMatrix(l.layout, m)
 
 
+def _residual(l: Liouvillian, c: np.ndarray) -> float:
+    """Max-entry norm of the complex matrix L(rho) for the coordinates c of rho."""
+    return float(np.max(np.abs(_hermitian_vec(l.generator @ c))))
+
+
 def steady_state_residual(l: Liouvillian, rho: DensityMatrix) -> float:
     """Max-entry norm of L(rho); < 1e-10 for accepted steady states."""
-    return float(np.max(np.abs(l.superop @ vec(rho.matrix))))
+    return _residual(l, _hermitian_coords(vec(rho.matrix)))

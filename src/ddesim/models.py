@@ -28,6 +28,9 @@ from .operators import (
 )
 
 WEAK_COUPLING_LIMIT = 0.2
+# largest magnitude of a numeric parameter: the product of any two stays
+# finite, so no parameter choice can overflow the assembled generator
+PARAM_LIMIT = 1e150
 
 
 class NumericalSanityError(RuntimeError):
@@ -41,7 +44,8 @@ class FullModelParams:
     Detunings (delta*), drives (eta*), couplings (g*) and rates (gamma_r*,
     gamma_d*) are dimensionless ratios of the boson decay rate; gamma_a_abs
     is that decay rate in Hz, must be positive, and only enters
-    absolute-time conversion.
+    absolute-time conversion. Every numeric field is finite with magnitude
+    at most 1e150.
     relaxation_operator selects the qubit relaxation jump: "lower" is the
     physical choice, "raise" reproduces a raising-operator variant for
     comparison.
@@ -71,8 +75,9 @@ class FullModelParams:
             raise ValueError(f"gamma_a_abs must be positive, got {self.gamma_a_abs}")
         for f in dataclasses.fields(self):
             v = getattr(self, f.name)
-            if isinstance(v, (int, float)) and not np.isfinite(v):
-                raise ValueError(f"{f.name} must be finite, got {v}")
+            if isinstance(v, (int, float)) and not abs(v) <= PARAM_LIMIT:
+                raise ValueError(
+                    f"{f.name} must be finite with magnitude at most {PARAM_LIMIT:.0e}, got {v}")
         if self.n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
         if self.relaxation_operator not in ("lower", "raise"):
@@ -128,12 +133,18 @@ def build_full_model(p: FullModelParams) -> tuple[np.ndarray, tuple[JumpTerm, ..
     return h, tuple(jumps), layout
 
 
+def _psd_floor(rates: np.ndarray) -> float:
+    """Most negative eigenvalue roundoff may give a PSD rate matrix: -1e-12 of its largest |entry|."""
+    return -1e-12 * float(np.abs(rates).max())
+
+
 @dataclass(frozen=True)
 class EffectiveParams:
     """Adiabatically eliminated two-qubit parameters.
 
     The 2x2 dissipator rate matrix [[gamma00, gamma01], [gamma01, gamma11]]
-    must be positive semidefinite within 1e-12 for a valid Lindblad form.
+    must be positive semidefinite for a valid Lindblad form, within 1e-12 of
+    its largest |entry| (eigvalsh roundoff scales with the matrix).
     """
 
     dtilde0: float
@@ -150,9 +161,10 @@ class EffectiveParams:
         if self.z <= 0:
             raise ValueError(f"z must be positive, got {self.z}")
         w = np.linalg.eigvalsh(self.rate_matrix)
-        if w.min() < -1e-12:
+        floor = _psd_floor(self.rate_matrix)
+        if w.min() < floor:
             raise ValueError(
-                f"dissipator rate matrix has negative eigenvalue {w.min():.3e} below -1e-12")
+                f"dissipator rate matrix has negative eigenvalue {w.min():.3e} below {floor:.1e}")
 
     @property
     def rate_matrix(self) -> np.ndarray:
@@ -214,9 +226,10 @@ def build_effective_model(e: EffectiveParams) -> tuple[np.ndarray, tuple[JumpTer
          - e.gtilde * (sp[0] @ sm[1] + sp[1] @ sm[0]))
 
     w, v = np.linalg.eigh(e.rate_matrix)
-    if w.min() < -1e-12:
+    floor = _psd_floor(e.rate_matrix)
+    if w.min() < floor:
         raise ValueError(
-            f"rate matrix has negative eigenvalue {w.min():.3e} below -1e-12")
+            f"rate matrix has negative eigenvalue {w.min():.3e} below {floor:.1e}")
     jumps = []
     for k in range(2):
         rate = float(w[k])

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .liouvillian import Liouvillian, NumericalError, _hermitian_coords, _hermitian_generator, vec
+from .liouvillian import Liouvillian, NumericalError, _hermitian_coords, steady_state_residual, vec
 from .models import adiabatic_eliminate, rabi_frequency
 from .operators import QUBIT_NUMBER, SIGMA_MINUS, DensityMatrix, embed
 
@@ -125,8 +125,8 @@ class CorrelationTrace:
 
 def _emission_setup(l: Liouvillian, rho_ss: DensityMatrix):
     """Bright/dark split, normalized post-jump states, number-sum operator."""
-    residual = np.abs(l.superop @ vec(rho_ss.matrix)).max()
-    if residual > 1e-8:
+    residual = steady_state_residual(l, rho_ss)
+    if not residual <= 1e-8:
         raise ValueError(f"rho_ss is not a steady state of l (residual {residual:.3e})")
 
     number_sum = sum(embed(QUBIT_NUMBER, j, rho_ss.layout) for j in (0, 1))
@@ -187,7 +187,7 @@ def g2_trace(l: Liouvillian, rho_ss: DensityMatrix, tau_max: float,
     n_baby = 1 << (n_samples.bit_length() // 2)
     baby = np.empty((l.dim * l.dim, n_baby))
     baby[:, 0] = _hermitian_coords(sum(vec(s.matrix) for s in initial))
-    step = scipy.linalg.expm(_hermitian_generator(l) * dt)
+    step = scipy.linalg.expm(l.generator * dt)
     for i in range(1, n_baby):
         baby[:, i] = step @ baby[:, i - 1]
     giant_step = step

@@ -262,7 +262,11 @@ def test_bad_set_value_exits_config_error(tmp_path, capsys):
      "--set", "axis1_min=0.028", "--set", "axis1_max=0.032", "--set", "axis1_points=2"],
     ["concurrence-map", "--set", "axis1=gamma_r0", "--set", "axis1_min=-1e-3",
      "--set", "axis1_max=1e-3", "--set", "axis1_points=3"],
-], ids=["g2-zero-rate", "timescale-map-zero-rate", "negative-rate-axis"])
+    ["steady", "--set", "gamma_d0=1e308"],
+    ["concurrence-map", "--set", "axis1=gamma_d0", "--set", "axis1_min=0",
+     "--set", "axis1_max=1e200", "--set", "axis1_points=2"],
+], ids=["g2-zero-rate", "timescale-map-zero-rate", "negative-rate-axis",
+        "overflowing-rate", "overflowing-rate-axis"])
 def test_out_of_range_parameters_exit_config_error(tmp_path, capsys, argv):
     out = tmp_path / "x.csv"
     assert main(argv + ["--out", str(out)]) == 1

@@ -26,7 +26,8 @@ from ddesim import (
     steady_state,
     truncation_check,
 )
-from ddesim.liouvillian import steady_state_residual, unvec, vec
+from ddesim import liouvillian as liouvillian_module
+from ddesim.liouvillian import Liouvillian, NumericalError, steady_state_residual, unvec, vec
 from ddesim.operators import QUBIT_NUMBER
 from ddesim.validate import integrator_states
 
@@ -87,7 +88,7 @@ def test_build_liouvillian_rejects_non_hermitian():
 
 
 def test_build_liouvillian_rejects_non_finite_generator():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-finite"):
         build_liouvillian(np.zeros((2, 2)), [JumpTerm(np.nan, SIGMA_MINUS)])
 
 
@@ -137,6 +138,9 @@ def test_apply_liouvillian_matches_direct_lindblad(case):
         rho = random_density(rng, h.shape[0])
         got = apply_liouvillian(liou, rho)
         assert np.allclose(got, lindblad_rhs(h, ops, rho), atol=1e-12)
+    # L is complex-linear: a matrix that is not Hermitian is evaluated too
+    x = random_operator(rng, h.shape[0])
+    assert np.allclose(apply_liouvillian(liou, x), lindblad_rhs(h, ops, x), atol=1e-12)
 
 
 @pytest.mark.parametrize("rate", [0.0, 1.0])
@@ -229,6 +233,17 @@ def test_steady_state_positivity_and_trace():
     assert steady_state_residual(liou, rho) < 1e-10
 
 
+def test_steady_state_residual_check_fails_on_nan():
+    # row 0 of the generator is replaced by the trace border before the
+    # solve, so a NaN there leaves the solve clean and reaches only the
+    # residual, which must reject it rather than compare False and pass
+    liou = build_liouvillian(*build_full_model(FullModelParams()))
+    generator = liou.generator.copy()
+    generator[0, 7] = np.nan
+    with pytest.raises(NumericalError, match="residual nan"):
+        steady_state(Liouvillian(liou.layout, generator))
+
+
 def test_degenerate_kernel_is_rejected():
     # a driven qubit with no dissipation has no unique fixed point
     h = -0.05 * (SIGMA_PLUS + SIGMA_MINUS)
@@ -261,15 +276,39 @@ def test_steady_state_matches_kernel_eigenvector():
 
 
 def test_near_degenerate_kernel_threshold():
-    # qubit 0 decoupled from the boson relaxes only through gamma_r0: at
-    # 1e-12 its slow mode is numerically a second kernel vector, at 1e-3 the
-    # steady state is unique
+    # qubit 0 decoupled from the boson relaxes only through gamma_r0, and
+    # the reciprocal condition number of the bordered matrix is about 0.12x
+    # the second-smallest |eigenvalue|: 1e-20 at 0, 6.1e-14 at 1e-12,
+    # 6.1e-12 at 1e-10 (below RCOND_TOL = 1e-11), 6.1e-11 at 1e-9 and
+    # 6.1e-5 at 1e-3
     base = FullModelParams(g0=0.0, gamma_d0=0.0)
-    liou = build_liouvillian(*build_full_model(dataclasses.replace(base, gamma_r0=1e-12)))
-    with pytest.raises(DegenerateSteadyStateError):
-        steady_state(liou)
-    liou = build_liouvillian(*build_full_model(dataclasses.replace(base, gamma_r0=1e-3)))
-    assert steady_state_residual(liou, steady_state(liou)) < 1e-10
+    for gamma_r0 in (0.0, 1e-12, 1e-10):
+        liou = build_liouvillian(*build_full_model(dataclasses.replace(base, gamma_r0=gamma_r0)))
+        with pytest.raises(DegenerateSteadyStateError):
+            steady_state(liou)
+    for gamma_r0 in (1e-9, 1e-3):
+        liou = build_liouvillian(*build_full_model(dataclasses.replace(base, gamma_r0=gamma_r0)))
+        assert steady_state_residual(liou, steady_state(liou)) < 1e-10
+
+
+def test_steady_state_factors_one_real_matrix(monkeypatch):
+    # one real LU of the bordered d^2 x d^2 generator, and no complex one
+    factored = []
+
+    def recording(name, real):
+        def factor(a, *args, **kwargs):
+            factored.append((name, a.shape, a.dtype))
+            return real(a, *args, **kwargs)
+        return factor
+
+    monkeypatch.setattr(liouvillian_module, "dgetrf", recording("dgetrf", liouvillian_module.dgetrf))
+    monkeypatch.setattr(scipy.linalg.lapack, "zgetrf", recording("zgetrf", scipy.linalg.lapack.zgetrf))
+    monkeypatch.setattr(scipy.linalg, "lu_factor", recording("lu_factor", scipy.linalg.lu_factor))
+    monkeypatch.setattr(np.linalg, "solve", recording("solve", np.linalg.solve))
+    liou = build_liouvillian(*build_full_model(FullModelParams()))
+    steady_state(liou)
+    n = liou.dim ** 2
+    assert factored == [("dgetrf", (n, n), np.dtype(np.float64))]
 
 
 def test_no_path_computes_an_eigendecomposition(monkeypatch):

@@ -52,6 +52,13 @@ def test_params_validation():
         FullModelParams(gamma_a_abs=0.0)
     with pytest.raises(ValueError):
         FullModelParams(delta0=np.inf)
+    # no product of two parameters may overflow
+    for name in ("gamma_d0", "delta0", "gamma_a_abs"):
+        with pytest.raises(ValueError, match=f"{name} must be finite with magnitude at most 1e"):
+            FullModelParams(**{name: 1.0001e150})
+    with pytest.raises(ValueError, match="delta1"):
+        FullModelParams(delta1=-1e308)
+    assert FullModelParams(gamma_d0=1e150, delta0=-1e150).gamma_d0 == 1e150
     with pytest.raises(ValueError):
         FullModelParams(n_max=0)
     with pytest.raises(ValueError):
@@ -159,6 +166,21 @@ def test_effective_rate_matrix_must_be_psd():
         EffectiveParams(dtilde0=0.0, dtilde1=0.0, etatilde0=0.0, etatilde1=0.0,
                         gtilde=0.0, gamma00=0.0, gamma11=0.0, gamma01=0.1,
                         z=0.25)
+
+
+def test_effective_rate_matrix_tolerance_scales_with_rates():
+    # with gamma_r = 0 the rate matrix is exactly singular, and at couplings
+    # near 140 eigvalsh reads -2.7e-12 from roundoff alone
+    p = FullModelParams(g0=143.50724237877682, g1=131.5853554121532,
+                        delta_a=-0.9945229996597038, gamma_r0=0.0, gamma_r1=0.0)
+    with pytest.warns(UserWarning, match="untrustworthy"):
+        e = adiabatic_eliminate(p)
+    assert np.linalg.eigvalsh(e.rate_matrix).min() < -1e-12
+    _, jumps, _ = build_effective_model(e)
+    assert all(j.rate > 0 for j in jumps)
+    # a rate matrix of the same scale that is truly indefinite still fails
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        dataclasses.replace(e, gamma01=e.gamma01 * (1 + 1e-6))
 
 
 def test_effective_dissipator_matches_rate_matrix_form():

@@ -19,13 +19,8 @@ from ddesim import (
     partial_trace,
     steady_state,
 )
-from ddesim.liouvillian import (
-    _hermitian_coords,
-    _hermitian_generator,
-    _hermitian_vec,
-    unvec,
-    vec,
-)
+from ddesim.liouvillian import _hermitian_coords, _hermitian_vec, unvec, vec
+from test_liouvillian import kron_assembly
 
 PROPERTY_SETTINGS = settings(max_examples=10, deadline=None, derandomize=True,
                              database=None)
@@ -139,15 +134,19 @@ def hermitian_basis(d):
 @given(params_strategy, seeds)
 def test_hermitian_basis_generator_and_coordinates(p, seed):
     rng = np.random.default_rng(seed)
-    liou = build_liouvillian(*build_full_model(p))
+    h, jumps, layout = build_full_model(p)
+    liou = build_liouvillian(h, jumps, layout)
     d = liou.dim
-    scale = np.abs(liou.superop).max()
+    sop = kron_assembly(h, [(j.rate, j.operator) for j in jumps])
+    scale = np.abs(sop).max()
     w = hermitian_basis(d)
     assert np.allclose(w.conj().T @ w, np.eye(d * d), rtol=0.0, atol=1e-15)
-    # W+ L W is real up to roundoff, and its real part is the generator
-    full = w.conj().T @ liou.superop @ w
+    # W+ L W of the Kronecker reference is real up to roundoff, and its real
+    # part is the stored generator
+    full = w.conj().T @ sop @ w
     assert np.abs(full.imag).max() < 1e-14 * scale
-    generator = _hermitian_generator(liou)
+    generator = liou.generator
+    assert not generator.flags.writeable
     assert np.abs(generator - full.real).max() < 1e-14 * scale
     # the generator acts on coordinates as L acts on matrices
     a, b = random_hermitian(rng, d), random_hermitian(rng, d)

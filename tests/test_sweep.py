@@ -12,7 +12,8 @@ from ddesim import (
     correlation_stats,
     run_sweep,
 )
-from ddesim.sweep import CellResult
+from ddesim.liouvillian import Liouvillian
+from ddesim.sweep import CellResult, _evaluate_cell
 
 
 def small_grid_spec(observables=("concurrence",)):
@@ -98,6 +99,18 @@ def test_only_numerical_failures_become_error_cells(monkeypatch):
         monkeypatch.setattr("ddesim.sweep.steady_state", failing_with(bug))
         with pytest.raises(type(bug), match="bug"):
             run_sweep(spec)
+
+
+def test_cell_never_builds_the_complex_superoperator(monkeypatch):
+    # every cell path reads the real generator; the complex superoperator
+    # is a derived view for oracles only
+    def forbidden(self):
+        raise AssertionError("cell path read Liouvillian.superop")
+
+    monkeypatch.setattr(Liouvillian, "superop", property(forbidden))
+    cell, _ = _evaluate_cell((FullModelParams(), ("concurrence", "g2_zero", "timescale"), ()))
+    assert cell.ok
+    assert None not in (cell.concurrence, cell.g2_zero, cell.period_native)
 
 
 def test_sweep_rows_independent_of_worker_count():
