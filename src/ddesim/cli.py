@@ -23,13 +23,13 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, parse_config
-from .liouvillian import PROPAGATION_METHOD, NumericalError, build_liouvillian, evolve, steady_state
+from .liouvillian import PROPAGATION_METHOD, NumericalError, evolve, steady_state
 from .models import (
-    build_full_model,
     boson_number,
     closed_form_inputs,
     analytic_populations,
     dicke_populations,
+    full_model_liouvillian,
     ground_state,
     rabi_frequency,
 )
@@ -90,9 +90,8 @@ def _provenance(command: str, cfg: RunConfig) -> list[str]:
 
 
 def _solve_steady(cfg: RunConfig):
-    h, jumps, layout = build_full_model(cfg.params)
-    liou = build_liouvillian(h, jumps, layout)
-    return liou, steady_state(liou), layout
+    liou = full_model_liouvillian(cfg.params)
+    return liou, steady_state(liou)
 
 
 def cmd_populations(cfg: RunConfig):
@@ -105,9 +104,8 @@ def cmd_populations(cfg: RunConfig):
         t_max = 2 * np.pi / omega  # two full population periods
     times = np.linspace(0.0, t_max, cfg.n_times)
 
-    h, jumps, layout = build_full_model(p)
-    liou = build_liouvillian(h, jumps, layout)
-    res = evolve(liou, ground_state(layout), times)
+    liou = full_model_liouvillian(p)
+    res = evolve(liou, ground_state(liou.layout), times)
     numeric = np.array([dicke_populations(s) for s in res.states])
 
     comments = _provenance("populations", cfg)
@@ -129,7 +127,8 @@ def cmd_populations(cfg: RunConfig):
 
 def cmd_steady(cfg: RunConfig):
     p = cfg.params
-    liou, rho_ss, layout = _solve_steady(cfg)
+    liou, rho_ss = _solve_steady(cfg)
+    layout = liou.layout
     rho2q = partial_trace(rho_ss, (0, 1))
     conc = concurrence(rho2q).value
     pops = dicke_populations(rho_ss)
@@ -157,7 +156,7 @@ def cmd_steady(cfg: RunConfig):
 
 def cmd_g2(cfg: RunConfig):
     p = cfg.params
-    liou, rho_ss, _ = _solve_steady(cfg)
+    liou, rho_ss = _solve_steady(cfg)
     tau_max = cfg.tau_max if cfg.tau_max is not None else default_tau_max(p)
     trace = g2_trace(liou, rho_ss, tau_max, cfg.n_samples)
 
@@ -192,13 +191,21 @@ def _cell_error(cell) -> str:
     return (cell.error or "").replace(",", ";").replace("\n", " ")
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_map(cfg: RunConfig, command: str, observables: tuple[str, ...]):
     """Sweep a map grid: the result, the shared comment lines and the shared meta keys.
 
-    Without a configured worker count the sweep uses one process per CPU.
+    Without a configured worker count the sweep uses one process per CPU
+    this process may run on.
     """
     spec = _grid_spec(cfg, command, observables)
-    result = run_sweep(spec, workers=cfg.workers or os.cpu_count() or 1)
+    result = run_sweep(spec, workers=cfg.workers or _available_cpus())
     comments = _provenance(command, cfg)
     comments.append(f"axis1={spec.axis1}, axis2={spec.axis2}")
     failed = sum(0 if r.ok else 1 for r in result.rows)

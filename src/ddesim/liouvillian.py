@@ -13,9 +13,11 @@ L_H is assembled from the nonzero entries of the effective non-Hermitian
 Hamiltonian K = -i H - (1/2) sum_k gamma_k L_k+ L_k and of the jump
 operators, never from the complex superoperator: each entry
 B[x, u] conj(A[y, v]) of a term X -> B X A+ lands on at most four entries of
-L_H, and all of them are summed into a dense array by one scatter. The
-steady state is one real LU solve of L_H with the trace condition
-substituted for its first row.
+L_H, and all of them are summed into a dense array by one scatter. That
+scatter, taken before its sum, is also what models.full_model_liouvillian
+tabulates once per model structure, so that a parameter map evaluates each
+cell's L_H as one linear combination. The steady state is one real LU solve
+of L_H with the trace condition substituted for its first row.
 
 Propagation works on the coordinates. On a uniform time grid the real step
 operator expm(L_H dt) is formed once by scaling and squaring and the
@@ -37,6 +39,7 @@ from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
 from .operators import (
     EIG_TOL,
     DensityMatrix,
+    NegativeEigenvalueError,
     SpaceLayout,
     is_hermitian,
 )
@@ -171,11 +174,30 @@ def build_liouvillian(h: np.ndarray, jumps: list[JumpTerm] | tuple[JumpTerm, ...
     if layout.total_dim != d:
         raise ValueError(f"layout dimension {layout.total_dim} does not match Hamiltonian dim {d}")
 
-    k = -1j * h
-    live = []
     for j in jumps:
         if j.operator.shape != (d, d):
             raise ValueError(f"jump operator shape {j.operator.shape} does not match dim {d}")
+    n = d * d
+    index, weights = _generator_scatter(h, jumps)
+    generator = np.bincount(index, weights, minlength=n * n).reshape(n, n)
+    if not np.all(np.isfinite(generator)):
+        raise ValueError("generator has non-finite entries")
+
+    generator.flags.writeable = False
+    return Liouvillian(layout, generator)
+
+
+def _generator_scatter(h: np.ndarray, jumps) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices into the d^2 x d^2 generator L_H and the real weights summed there.
+
+    The scatter of build_liouvillian, before its bincount: L_H is
+    np.bincount(index, weights) reshaped. h and the jump operators must
+    already be validated as d x d.
+    """
+    d = h.shape[0]
+    k = -1j * h
+    live = []
+    for j in jumps:
         if j.rate != 0.0:
             live.append(j)
             k -= 0.5 * j.rate * (j.operator.conj().T @ j.operator)
@@ -198,12 +220,7 @@ def build_liouvillian(h: np.ndarray, jumps: list[JumpTerm] | tuple[JumpTerm, ...
     col, coef = _basis_map(d)
     index = col.take(p, axis=1)[:, None] * n + col.take(q, axis=1)[None]
     weights = (coef.take(p, axis=1).conj()[:, None] * (coef.take(q, axis=1) * vals)[None]).real
-    generator = np.bincount(index.ravel(), weights.ravel(), minlength=n * n).reshape(n, n)
-    if not np.all(np.isfinite(generator)):
-        raise ValueError("generator has non-finite entries")
-
-    generator.flags.writeable = False
-    return Liouvillian(layout, generator)
+    return index.ravel(), weights.ravel()
 
 
 def apply_liouvillian(l: Liouvillian, rho: DensityMatrix | np.ndarray) -> np.ndarray:
@@ -223,10 +240,14 @@ def apply_liouvillian(l: Liouvillian, rho: DensityMatrix | np.ndarray) -> np.nda
 _SQRT_HALF = np.sqrt(0.5)
 
 
+@functools.lru_cache(maxsize=16)
 def _hermitian_index(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Column-stacked positions of rho[i, i], of rho[i, j] (i < j) and of rho[j, i]."""
+    """Column-stacked positions of rho[i, i], of rho[i, j] (i < j) and of rho[j, i], read-only."""
     i, j = np.triu_indices(d, 1)
-    return np.arange(d) * (d + 1), i + j * d, j + i * d
+    out = np.arange(d) * (d + 1), i + j * d, j + i * d
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 @functools.lru_cache(maxsize=8)
@@ -353,7 +374,8 @@ def steady_state(l: Liouvillian) -> DensityMatrix:
     condition Tr(rho) = 1, which is the sum of the diagonal coordinates;
     the solution is trace-normalized and is Hermitian by construction. The
     reciprocal condition number of the same LU factor decides whether the
-    kernel is unique.
+    kernel is unique. The one eigendecomposition is the positivity check of
+    the DensityMatrix construction.
 
     Raises
     ------
@@ -384,12 +406,11 @@ def steady_state(l: Liouvillian) -> DensityMatrix:
     if not res < RESIDUAL_TOL:
         raise NumericalError(
             f"steady-state residual {res:.3e} exceeds {RESIDUAL_TOL:.0e}")
-    m = unvec(_hermitian_vec(c))
-    min_eig = float(np.linalg.eigvalsh(m).min())
-    if min_eig < -EIG_TOL:
-        raise NumericalError(
-            f"steady state has negative eigenvalue {min_eig:.3e} below -{EIG_TOL:.0e}")
-    return DensityMatrix(l.layout, m)
+    try:
+        return DensityMatrix(l.layout, unvec(_hermitian_vec(c)))
+    except NegativeEigenvalueError as exc:
+        raise NumericalError(f"steady state has negative eigenvalue {exc.min_eig:.3e} "
+                             f"below -{EIG_TOL:.0e}") from None
 
 
 def _residual(l: Liouvillian, c: np.ndarray) -> float:

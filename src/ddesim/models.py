@@ -2,18 +2,25 @@
 two-qubit dynamics, the collective (Dicke) basis form, and the closed-form
 population oracle for the symmetric driving case.
 
+Every float parameter of the full model except gamma_a_abs enters its
+generator linearly, L_H(p) = L_0 + sum_k p_k G_k. full_model_liouvillian
+evaluates that sum from a table built once per (n_max,
+relaxation_operator), so a parameter map pays only for the sum; the
+embedded operators of build_full_model are cached per n_max.
+
 All energies and rates are in units of the boson decay rate (fixed to 1).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .liouvillian import JumpTerm
+from .liouvillian import JumpTerm, Liouvillian, _generator_scatter
 from .operators import (
     SIGMA_MINUS,
     SIGMA_PLUS,
@@ -101,6 +108,26 @@ class FullModelParams:
         )
 
 
+# the float parameters; all but the absolute rate gamma_a_abs enter the
+# generator linearly
+_FLOAT_FIELDS = tuple(
+    f.name for f in dataclasses.fields(FullModelParams)
+    if f.type == "float" or isinstance(f.default, float))
+_LINEAR_FIELDS = tuple(name for name in _FLOAT_FIELDS if name != "gamma_a_abs")
+
+
+@functools.lru_cache(maxsize=8)
+def _full_model_operators(n_max: int):
+    """Layout, boson a, and (sigma+, sigma-, sigma_z) of each qubit, embedded; read-only."""
+    layout = qubit_pair_boson_layout(n_max)
+    a = embed(boson_destroy(n_max), 2, layout)
+    qubits = tuple(tuple(embed(op, i, layout) for op in (SIGMA_PLUS, SIGMA_MINUS, SIGMA_Z))
+                   for i in (0, 1))
+    for op in (a, *qubits[0], *qubits[1]):
+        op.flags.writeable = False
+    return layout, a, qubits
+
+
 def build_full_model(p: FullModelParams) -> tuple[np.ndarray, tuple[JumpTerm, ...], SpaceLayout]:
     """Hamiltonian, jump terms and layout of the full model.
 
@@ -112,25 +139,73 @@ def build_full_model(p: FullModelParams) -> tuple[np.ndarray, tuple[JumpTerm, ..
     rate 1, qubit relaxation at gamma_r_i, qubit dephasing (sigma_z) at
     gamma_d_i.
     """
-    layout = qubit_pair_boson_layout(p.n_max)
-    a = embed(boson_destroy(p.n_max), 2, layout)
+    layout, a, qubits = _full_model_operators(p.n_max)
     ad = a.conj().T
 
     h = p.delta_a * (ad @ a) - p.eta_a * (a + ad)
     jumps = [JumpTerm(1.0, a)]
-    relax_base = SIGMA_MINUS if p.relaxation_operator == "lower" else SIGMA_PLUS
-    for i, (delta, eta, g, gamma_r, gamma_d) in enumerate((
+    for (delta, eta, g, gamma_r, gamma_d), (sp, sm, sz) in zip((
             (p.delta0, p.eta0, p.g0, p.gamma_r0, p.gamma_d0),
-            (p.delta1, p.eta1, p.g1, p.gamma_r1, p.gamma_d1))):
-        sp = embed(SIGMA_PLUS, i, layout)
-        sm = embed(SIGMA_MINUS, i, layout)
+            (p.delta1, p.eta1, p.g1, p.gamma_r1, p.gamma_d1)), qubits):
         h = h + delta * (sp @ sm) - eta * (sp + sm) - g * (sp @ a + sm @ ad)
-        jumps.append(JumpTerm(gamma_r, embed(relax_base, i, layout)))
-        jumps.append(JumpTerm(gamma_d, embed(SIGMA_Z, i, layout)))
+        jumps.append(JumpTerm(gamma_r, sm if p.relaxation_operator == "lower" else sp))
+        jumps.append(JumpTerm(gamma_d, sz))
 
     if not is_hermitian(h, 1e-12):
         raise NumericalSanityError("constructed Hamiltonian is not Hermitian within 1e-12")
     return h, tuple(jumps), layout
+
+
+@functools.lru_cache(maxsize=8)
+def _affine_generator(n_max: int, relaxation_operator: str) -> tuple[np.ndarray, np.ndarray]:
+    """Table of L_H(p) = L_0 + sum_k p_k G_k: flat indices and coefficients, read-only.
+
+    index holds the sorted flat positions in L_H that some term makes
+    nonzero. At those positions, coef[:, 0] is L_0, the model with every
+    linear parameter 0 (boson decay only), and coef[:, 1 + k] is
+    G_k = L(p_k = 1) - L_0 for the k-th of _LINEAR_FIELDS. Each model's
+    generator is summed from build_liouvillian's own scatter.
+    """
+    base = FullModelParams(n_max=n_max, relaxation_operator=relaxation_operator,
+                           **dict.fromkeys(_LINEAR_FIELDS, 0.0))
+    scatters = [_generator_scatter(*build_full_model(q)[:2])
+                for q in (base, *(dataclasses.replace(base, **{name: 1.0})
+                                  for name in _LINEAR_FIELDS))]
+    index = np.unique(np.concatenate([i for i, _ in scatters]))
+    coef = np.stack([np.bincount(np.searchsorted(index, i), w, minlength=index.size)
+                     for i, w in scatters], axis=1)
+    coef[:, 1:] -= coef[:, :1]
+    # positions whose terms cancel exactly in every model stay zero
+    live = np.any(coef != 0.0, axis=1)
+    index, coef = index[live], coef[live]
+    index.flags.writeable = coef.flags.writeable = False
+    return index, coef
+
+
+def full_model_liouvillian(p: FullModelParams) -> Liouvillian:
+    """Generator of the full model: build_liouvillian(*build_full_model(p)) up to roundoff.
+
+    Evaluates L_H(p) = L_0 + sum_k p_k G_k from the table cached per
+    (n_max, relaxation_operator): one (nnz x 13) matrix-vector product
+    scattered into the zero matrix, where nnz is the number of entries some
+    term makes nonzero. The generator is read-only.
+
+    Raises
+    ------
+    ValueError
+        If the generator has a non-finite entry.
+    """
+    index, coef = _affine_generator(p.n_max, p.relaxation_operator)
+    values = coef @ np.array([1.0, *(getattr(p, name) for name in _LINEAR_FIELDS)])
+    if not np.all(np.isfinite(values)):
+        raise ValueError("generator has non-finite entries")
+    layout = qubit_pair_boson_layout(p.n_max)
+    n = layout.total_dim ** 2
+    generator = np.zeros(n * n)
+    generator[index] = values
+    generator = generator.reshape(n, n)
+    generator.flags.writeable = False
+    return Liouvillian(layout, generator)
 
 
 def _psd_floor(rates: np.ndarray) -> float:

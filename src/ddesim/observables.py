@@ -10,6 +10,7 @@ rate; absolute seconds enter only through the configured rate in Hz.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,12 +76,24 @@ def concurrence(rho2q: DensityMatrix) -> ConcurrenceResult:
     return ConcurrenceResult(value=value, lambdas=tuple(float(x) for x in lam))
 
 
+@functools.lru_cache(maxsize=16)
 def _lower_at(layout, emitter: int) -> np.ndarray:
+    """sigma- of the given qubit embedded in layout, read-only."""
     if emitter not in (0, 1):
         raise ValueError(f"emitter must be 0 or 1, got {emitter}")
     if layout.dims[emitter] != 2:
         raise ValueError(f"subsystem {emitter} of layout {layout.dims} is not a qubit")
-    return embed(SIGMA_MINUS, emitter, layout)
+    sm = embed(SIGMA_MINUS, emitter, layout)
+    sm.flags.writeable = False
+    return sm
+
+
+@functools.lru_cache(maxsize=8)
+def _number_sum(layout) -> np.ndarray:
+    """n_0 + n_1, the summed qubit number operators embedded in layout, read-only."""
+    n = sum(embed(QUBIT_NUMBER, j, layout) for j in (0, 1))
+    n.flags.writeable = False
+    return n
 
 
 def post_jump_state(rho: DensityMatrix, emitter: int) -> tuple[DensityMatrix, float]:
@@ -129,7 +142,7 @@ def _emission_setup(l: Liouvillian, rho_ss: DensityMatrix):
     if not residual <= 1e-8:
         raise ValueError(f"rho_ss is not a steady state of l (residual {residual:.3e})")
 
-    number_sum = sum(embed(QUBIT_NUMBER, j, rho_ss.layout) for j in (0, 1))
+    number_sum = _number_sum(rho_ss.layout)
     bright, dark, initial = [], [], []
     for i in (0, 1):
         try:

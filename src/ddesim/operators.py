@@ -76,13 +76,22 @@ def qubit_pair_boson_layout(n_max: int) -> SpaceLayout:
 TWO_QUBIT_LAYOUT = SpaceLayout((2, 2))
 
 
+class NegativeEigenvalueError(ValueError):
+    """A matrix offered as a density matrix has an eigenvalue below -1e-9."""
+
+    def __init__(self, min_eig: float):
+        super().__init__(f"negative eigenvalue {min_eig} below -{EIG_TOL}")
+        self.min_eig = min_eig
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Trace-one Hermitian positive operator on a labeled composite space.
 
     Construction validates trace (1e-10), Hermiticity (1e-10) and numerical
-    positivity (min eigenvalue >= -1e-9). Use ``from_matrix(..., normalize=True)``
-    to renormalize the trace of raw numerical output before validation.
+    positivity (min eigenvalue >= -1e-9, else NegativeEigenvalueError). Use
+    ``from_matrix(..., normalize=True)`` to renormalize the trace of raw
+    numerical output before validation.
     """
 
     layout: SpaceLayout
@@ -100,7 +109,7 @@ class DensityMatrix:
             raise ValueError("matrix is not Hermitian within 1e-10")
         min_eig = float(np.linalg.eigvalsh(hermitize(m)).min())
         if min_eig < -EIG_TOL:
-            raise ValueError(f"negative eigenvalue {min_eig} below -{EIG_TOL}")
+            raise NegativeEigenvalueError(min_eig)
         m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)

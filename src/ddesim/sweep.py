@@ -1,13 +1,16 @@
 """Parameter-grid harness: 1-D and 2-D sweeps of steady-state observables.
 
-Each grid cell independently builds the full model, solves for its steady
-state, and evaluates the requested observables. Cells where the solve or
-the correlation analysis raises a NumericalError are flagged with the error
-message and excluded from summary statistics, never given fabricated
-values; any other exception propagates. Results are collected in grid
-order, so output is identical for any worker count. truncation_check
-repeats the steady-state observables of one cell at the next boson
-truncation.
+Each grid cell evaluates its generator from the parameter-affine table of
+its (n_max, relaxation_operator), built once per process
+(full_model_liouvillian), solves for its steady state, and evaluates the
+requested observables. Cells where the solve or the correlation analysis
+raises a NumericalError are flagged with the error message and excluded
+from summary statistics, never given fabricated values; any other
+exception propagates. A process pool receives the cells in contiguous
+chunks, about four per worker, but still evaluates each cell on its own;
+results are collected in grid order, so output is identical for any worker
+count. truncation_check repeats the steady-state observables of one cell
+at the next boson truncation.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liouvillian import NumericalError, build_liouvillian, steady_state
-from .models import FullModelParams, build_full_model
+from .liouvillian import NumericalError, steady_state
+from .models import _FLOAT_FIELDS, FullModelParams, full_model_liouvillian
 from .observables import (
     DEFAULT_N_SAMPLES,
     concurrence,
@@ -32,10 +35,6 @@ from .observables import (
 from .operators import partial_trace
 
 OBSERVABLE_NAMES = ("concurrence", "g2_zero", "timescale")
-
-_SWEEPABLE = tuple(
-    f.name for f in dataclasses.fields(FullModelParams)
-    if f.type == "float" or isinstance(f.default, float))
 
 MIN_VALID_CELLS = 9
 
@@ -57,9 +56,9 @@ class GridSpec:
 
     def __post_init__(self):
         for name, lo, hi, n in self.axes:
-            if name not in _SWEEPABLE:
+            if name not in _FLOAT_FIELDS:
                 raise ValueError(
-                    f"unknown sweep parameter {name!r}; choose from {_SWEEPABLE}")
+                    f"unknown sweep parameter {name!r}; choose from {_FLOAT_FIELDS}")
             if n < 2:
                 raise ValueError(f"axis over {name!r} needs n_points >= 2, got {n}")
             if not lo < hi:
@@ -135,8 +134,7 @@ def _evaluate_cell(args: tuple[FullModelParams, tuple[str, ...], tuple[float, ..
     t0 = time.perf_counter()
     conc = g2z = period = error = None
     try:
-        h, jumps, layout = build_full_model(params)
-        liou = build_liouvillian(h, jumps, layout)
+        liou = full_model_liouvillian(params)
         rho_ss = steady_state(liou)
         if "concurrence" in observables:
             conc = concurrence(partial_trace(rho_ss, (0, 1))).value
@@ -155,6 +153,8 @@ def _evaluate_cell(args: tuple[FullModelParams, tuple[str, ...], tuple[float, ..
 def run_sweep(spec: GridSpec, workers: int = 1) -> SweepResult:
     """Evaluate every grid cell, serially or across processes.
 
+    A pool hands out contiguous chunks of len(cells) // (4 workers) cells,
+    at least one, and starts no more processes than there are chunks.
     Collection order is the grid order for any worker count, so results do
     not depend on scheduling.
     """
@@ -164,8 +164,10 @@ def run_sweep(spec: GridSpec, workers: int = 1) -> SweepResult:
     if workers <= 1:
         outcomes = [_evaluate_cell(j) for j in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_evaluate_cell, jobs))
+        chunksize = max(1, len(jobs) // (4 * workers))
+        chunks = -(-len(jobs) // chunksize)
+        with ProcessPoolExecutor(max_workers=min(workers, chunks)) as pool:
+            outcomes = list(pool.map(_evaluate_cell, jobs, chunksize=chunksize))
 
     rows = tuple(cell for cell, _ in outcomes)
     seconds = tuple(sec for _, sec in outcomes)
@@ -203,7 +205,7 @@ def truncation_check(params: FullModelParams, n_max: int | None = None) -> float
         return 0.0
 
     def observables_at(nm: int) -> tuple[float, float]:
-        liou = build_liouvillian(*build_full_model(dataclasses.replace(params, n_max=nm)))
+        liou = full_model_liouvillian(dataclasses.replace(params, n_max=nm))
         rho = steady_state(liou)
         return concurrence(partial_trace(rho, (0, 1))).value, g2_zero(liou, rho)
 

@@ -311,6 +311,25 @@ def test_steady_state_factors_one_real_matrix(monkeypatch):
     assert factored == [("dgetrf", (n, n), np.dtype(np.float64))]
 
 
+def test_steady_state_makes_one_eigendecomposition(monkeypatch):
+    # the positivity check of the DensityMatrix construction is the only one,
+    # and a negative eigenvalue there is still a NumericalError
+    liou = build_liouvillian(*build_full_model(FullModelParams()))
+    calls = []
+    real_eigvalsh = np.linalg.eigvalsh
+
+    def eigvalsh(a, *args, shift=0.0, **kwargs):
+        calls.append(a.shape)
+        return real_eigvalsh(a, *args, **kwargs) - shift
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    steady_state(liou)
+    assert calls == [(liou.dim, liou.dim)]
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvalsh(a, shift=1e-6))
+    with pytest.raises(NumericalError, match="negative eigenvalue -1.0"):
+        steady_state(liou)
+
+
 def test_no_path_computes_an_eigendecomposition(monkeypatch):
     calls = []
     real_eig = scipy.linalg.eig

@@ -26,12 +26,15 @@ from ddesim import (
     dicke_transform,
     embed,
     evolve,
+    full_model_liouvillian,
     ground_state,
     partial_trace,
     rabi_frequency,
     steady_state,
 )
-from ddesim.models import boson_number
+from ddesim.liouvillian import _hermitian_index
+from ddesim.models import _affine_generator, _full_model_operators, boson_number
+from ddesim.observables import _lower_at, _number_sum
 
 
 def effective_no_dissipation(p):
@@ -355,3 +358,17 @@ def test_ground_state_and_boson_number():
     assert rho.expect(n_op) == pytest.approx(0.0)
     with pytest.raises(ValueError):
         boson_number(SpaceLayout((2, 2)))
+
+
+def test_cached_tables_are_read_only():
+    # cached arrays are shared by every later call in the process
+    p = FullModelParams(n_max=3, relaxation_operator="raise")
+    liou = full_model_liouvillian(p)
+    layout, a, qubits = _full_model_operators(p.n_max)
+    cached = [liou.generator, *_affine_generator(p.n_max, p.relaxation_operator),
+              a, *qubits[0], *qubits[1], *_hermitian_index(layout.total_dim),
+              _lower_at(layout, 0), _lower_at(layout, 1), _number_sum(layout)]
+    assert not any(arr.flags.writeable for arr in cached)
+    index, coef = _affine_generator(p.n_max, p.relaxation_operator)
+    assert coef.shape == (index.size, 13)
+    assert np.all(np.diff(index) > 0)

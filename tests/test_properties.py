@@ -1,5 +1,7 @@
 """Property tests over random model parameters: the invariants every path must keep."""
 
+import dataclasses
+
 import numpy as np
 import scipy.linalg
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from ddesim import (
     concurrence,
     default_tau_max,
     evolve,
+    full_model_liouvillian,
     g2_trace,
     ground_state,
     partial_trace,
@@ -155,3 +158,16 @@ def test_hermitian_basis_generator_and_coordinates(p, seed):
     # coordinates round-trip Hermitian matrices and preserve Tr(AB)
     assert np.abs(unvec(_hermitian_vec(ca)) - a).max() < 1e-14
     assert abs(ca @ cb - np.trace(a @ b).real) < 1e-14 * np.linalg.norm(a) * np.linalg.norm(b)
+
+
+@PROPERTY_SETTINGS
+@given(params_strategy, st.floats(-0.05, 0.05), st.integers(1, 4),
+       st.sampled_from(("lower", "raise")))
+def test_affine_generator_matches_direct_assembly(p, delta_a, n_max, relaxation_operator):
+    p = dataclasses.replace(p, delta_a=delta_a, n_max=n_max,
+                            relaxation_operator=relaxation_operator)
+    direct = build_liouvillian(*build_full_model(p))
+    liou = full_model_liouvillian(p)
+    assert liou.layout == direct.layout
+    scale = np.abs(direct.generator).max()
+    assert np.abs(liou.generator - direct.generator).max() <= 1e-14 * scale

@@ -10,8 +10,13 @@ from ddesim import (
     NumericalError,
     SweepResult,
     correlation_stats,
+    full_model_liouvillian,
     run_sweep,
 )
+import ddesim.cli
+import ddesim.liouvillian
+import ddesim.models
+import ddesim.sweep
 from ddesim.liouvillian import Liouvillian
 from ddesim.sweep import CellResult, _evaluate_cell
 
@@ -113,14 +118,92 @@ def test_cell_never_builds_the_complex_superoperator(monkeypatch):
     assert None not in (cell.concurrence, cell.g2_zero, cell.period_native)
 
 
+def test_cell_builds_no_model(monkeypatch):
+    # a cell evaluates the cached parameter-affine generator; the table is
+    # built once per (n_max, relaxation_operator), here before the patch
+    params = FullModelParams()
+    full_model_liouvillian(params)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("cell path built the model")
+
+    for module in (ddesim.models, ddesim.liouvillian, ddesim.sweep):
+        for name in ("build_full_model", "build_liouvillian"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    cell, _ = _evaluate_cell((params, ("concurrence", "g2_zero", "timescale"), ()))
+    assert cell.ok
+    assert None not in (cell.concurrence, cell.g2_zero, cell.period_native)
+
+
 def test_sweep_rows_independent_of_worker_count():
-    spec = small_grid_spec(observables=("concurrence", "g2_zero"))
-    serial = run_sweep(spec, workers=1)
-    parallel = run_sweep(spec, workers=2)
-    assert serial.rows == parallel.rows
-    assert len(serial.rows) == 9
-    assert len(serial.cell_seconds) == 9
-    assert all(r.ok for r in serial.rows)
+    # 25 cells at 2 workers are chunks of 3, the last one short
+    for points in (3, 5):
+        spec = GridSpec(axis1=("delta0", -0.02, 0.02, points),
+                        axis2=("delta1", -0.02, 0.02, points),
+                        observables=("concurrence", "g2_zero"))
+        serial = run_sweep(spec, workers=1)
+        parallel = run_sweep(spec, workers=2)
+        assert serial.rows == parallel.rows
+        assert len(serial.rows) == points ** 2
+        assert len(serial.cell_seconds) == points ** 2
+        assert all(r.ok for r in serial.rows)
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its arguments, starts no process."""
+
+    created = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.chunksize = None
+        RecordingPool.created.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs, chunksize=1):
+        self.chunksize = chunksize
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize("cells, workers, processes, chunksize", [
+    (3, 64, 3, 1),     # no more processes than chunks
+    (64, 2, 2, 8),     # four chunks per worker
+    (25, 2, 2, 3),
+    (2, 64, 2, 1),
+])
+def test_pool_processes_capped_at_chunks(monkeypatch, cells, workers, processes, chunksize):
+    monkeypatch.setattr(RecordingPool, "created", [])
+    monkeypatch.setattr(ddesim.sweep, "ProcessPoolExecutor", RecordingPool)
+    spec = GridSpec(axis1=("delta0", -0.02, 0.02, cells))
+    rows = run_sweep(spec, workers=workers).rows
+    assert len(rows) == cells
+    [pool] = RecordingPool.created
+    assert (pool.max_workers, pool.chunksize) == (processes, chunksize)
+
+
+def test_cli_default_workers_are_the_usable_cpus(monkeypatch, tmp_path):
+    seen = []
+
+    def recording_sweep(spec, workers=1):
+        seen.append(workers)
+        return SweepResult(spec=spec, rows=(), n_max=2, cell_seconds=())
+
+    monkeypatch.setattr(ddesim.cli, "run_sweep", recording_sweep)
+    monkeypatch.setattr(ddesim.cli.os, "sched_getaffinity", lambda pid: {0, 3, 5},
+                        raising=False)
+    assert ddesim.cli.main(["concurrence-map", "--out", str(tmp_path / "m.csv")]) == 0
+    monkeypatch.delattr(ddesim.cli.os, "sched_getaffinity")
+    monkeypatch.setattr(ddesim.cli.os, "cpu_count", lambda: 7)
+    assert ddesim.cli.main(["concurrence-map", "--out", str(tmp_path / "m.csv")]) == 0
+    assert ddesim.cli.main(["concurrence-map", "--workers", "2",
+                            "--out", str(tmp_path / "m.csv")]) == 0
+    assert seen == [3, 7, 2]
 
 
 def test_sweep_concurrence_map_exchange_symmetric():
