@@ -4,10 +4,12 @@ Subcommands: populations (driven population dynamics vs the closed form),
 steady (one steady state in full detail), concurrence-map and timescale-map
 (parameter-grid sweeps), g2 (one correlation trace), validate (invariant
 battery). Every data command writes a CSV plus a <out>.meta.json sidecar;
-CSV bytes are reproducible for identical configuration.
+CSV bytes are reproducible for identical configuration at a fixed BLAS
+thread count (OPENBLAS_NUM_THREADS); a different count can move the last
+printed digit.
 
-Exit codes: 0 success, 1 configuration or I/O error, 2 numerical failure,
-3 validation failure.
+Exit codes: 0 success, 1 configuration, usage or I/O error, 2 numerical
+failure, 3 validation failure.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ def _write_meta(csv_path: str, command: str, cfg: RunConfig, wall_clock: float,
         "version": __version__,
         "params": dataclasses.asdict(cfg.params),
         "n_max": cfg.params.n_max,
-        "settings": {k: v for k, v in cfg.as_dict().items() if k != "params"},
+        "settings": {k: v for k, v in dataclasses.asdict(cfg).items() if k != "params"},
         "wall_clock_seconds": wall_clock,
         "csv": csv_path,
     }
@@ -284,17 +286,20 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        cfg = parse_config(args.config, tuple(args.set))
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's usage-error code 2 means numerical here
+        if exc.code == 2:
+            return 1
+        raise
+    # flags go after --set, so they win; not --out: the parser reads '#' as a comment
+    flags = [f"workers={args.workers}"] if args.workers is not None else []
+    if args.pi_units:
+        flags.append("pi_units=true")
+    try:
+        cfg = parse_config(args.config, (*args.set, *flags))
         if args.out is not None:
             cfg = dataclasses.replace(cfg, out=args.out)
-        if args.workers is not None:
-            if args.workers < 1:
-                raise ConfigError(f"invalid value for key 'workers': {args.workers}")
-            cfg = dataclasses.replace(cfg, workers=args.workers)
-        if args.pi_units:
-            cfg = dataclasses.replace(cfg, pi_units=True)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

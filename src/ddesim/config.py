@@ -56,11 +56,6 @@ class RunConfig:
     pi_units: bool = False
     out: str | None = None
 
-    def as_dict(self) -> dict:
-        d = {k: v for k, v in dataclasses.asdict(self).items() if k != "params"}
-        d["params"] = dataclasses.asdict(self.params)
-        return d
-
     def axis_override(self, which: int) -> tuple[str, float, float, int] | None:
         """(name, min, max, points) for axis 1 or 2 if fully configured."""
         prefix = f"axis{which}"

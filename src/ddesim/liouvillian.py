@@ -19,10 +19,11 @@ tabulates once per model structure, so that a parameter map evaluates each
 cell's L_H as one linear combination. The steady state is one real LU solve
 of L_H with the trace condition substituted for its first row.
 
-Propagation works on the coordinates. On a uniform time grid the real step
-operator expm(L_H dt) is formed once by scaling and squaring and the
-coordinates are stepped by matrix-vector products. Unlike an
-eigendecomposition of L, whose eigenbasis becomes ill-conditioned near
+Propagation works on the coordinates and lives only here: evolve samples
+states and correlation_samples samples one expectation value. On a uniform
+time grid the real step operator expm(L_H dt) is formed once by scaling and
+squaring and the coordinates are stepped by matrix-vector products. Unlike
+an eigendecomposition of L, whose eigenbasis becomes ill-conditioned near
 exceptional points, the scaling and squaring does not depend on that
 conditioning.
 """
@@ -350,21 +351,50 @@ def evolve(l: Liouvillian, rho0: DensityMatrix, times) -> EvolveResult:
         raise ValueError("initial state dimension does not match Liouvillian")
     t, dt = _uniform_times(times)
 
-    cols = np.empty((l.dim * l.dim, t.size))
-    cols[:, 0] = scipy.linalg.expm(l.generator * t[0]) @ _hermitian_coords(vec(rho0.matrix))
-    if t.size > 1:
-        step = scipy.linalg.expm(l.generator * dt)
-        for k in range(1, t.size):
-            cols[:, k] = step @ cols[:, k - 1]
+    first = scipy.linalg.expm(l.generator * t[0]) @ _hermitian_coords(vec(rho0.matrix))
+    step = scipy.linalg.expm(l.generator * dt) if t.size > 1 else None
+    cols = _powers(step, first, t.size)
     drift = float(np.max(np.abs(cols[:l.dim].sum(axis=0) - 1.0)))
     if drift > TRACE_DRIFT_TOL:
         raise NumericalError(f"trace drift {drift:.3e} exceeds {TRACE_DRIFT_TOL:.0e}")
 
-    mats = _hermitian_vec(cols)
-    states = tuple(
-        DensityMatrix.from_matrix(rho0.layout, unvec(mats[:, k]), normalize=True)
-        for k in range(t.size))
+    states = tuple(DensityMatrix(rho0.layout, m / np.trace(m).real)
+                   for m in map(unvec, _hermitian_vec(cols).T))
     return EvolveResult(times=t, states=states, max_trace_drift=drift)
+
+
+def _powers(step: np.ndarray | None, c: np.ndarray, n: int) -> np.ndarray:
+    """The columns c, step c, ..., step^(n-1) c; step is unused when n is 1."""
+    out = np.empty((c.size, n))
+    out[:, 0] = c
+    for k in range(1, n):
+        out[:, k] = step @ out[:, k - 1]
+    return out
+
+
+def correlation_samples(l: Liouvillian, observable: np.ndarray, x0: np.ndarray,
+                        dt: float, n: int) -> np.ndarray:
+    """Tr[A expm(L k dt)(x0)] for k = 0, ..., n - 1, as a real array.
+
+    A (observable) and x0 are Hermitian d x d matrices; x0 need not be a
+    state. Everything is real: with the step operator P = expm(L_H dt) and
+    the coordinates c_A and c_0 of A and x0, sample k is c_A . P^k c_0.
+    Writing k = j b + i with b ~ sqrt(n), the b baby steps P^i c_0 and the
+    n / b giant steps (Q^T)^j c_A meet in one (n / b x d^2) (d^2 x b)
+    matrix product. That replaces n - 1 matrix-vector products issued one
+    by one from Python with about 2 sqrt(n) of them and a single BLAS call.
+    b is a power of two, so the giant step Q = P^b is log2(b) squarings of
+    P: the last stage of the scaling and squaring that expm(L_H b dt) would
+    run, which leaves one matrix exponential per call.
+    """
+    n_baby = 1 << (n.bit_length() // 2)
+    step = scipy.linalg.expm(l.generator * dt)
+    baby = _powers(step, _hermitian_coords(vec(x0)), n_baby)
+    giant_step = step
+    for _ in range(n_baby.bit_length() - 1):
+        giant_step = giant_step @ giant_step
+    giant = _powers(giant_step.T, _hermitian_coords(vec(observable)), -(-n // n_baby))
+    return (giant.T @ baby).reshape(-1)[:n]
 
 
 def steady_state(l: Liouvillian) -> DensityMatrix:

@@ -300,11 +300,7 @@ def build_effective_model(e: EffectiveParams) -> tuple[np.ndarray, tuple[JumpTer
          - e.etatilde0 * (sp[0] + sm[0]) - e.etatilde1 * (sp[1] + sm[1])
          - e.gtilde * (sp[0] @ sm[1] + sp[1] @ sm[0]))
 
-    w, v = np.linalg.eigh(e.rate_matrix)
-    floor = _psd_floor(e.rate_matrix)
-    if w.min() < floor:
-        raise ValueError(
-            f"rate matrix has negative eigenvalue {w.min():.3e} below {floor:.1e}")
+    w, v = np.linalg.eigh(e.rate_matrix)  # PSD within _psd_floor: EffectiveParams checks it
     jumps = []
     for k in range(2):
         rate = float(w[k])

@@ -1,11 +1,11 @@
 """Entanglement and photon-correlation diagnostics.
 
 Wootters concurrence of two-qubit states, quantum-jump photon correlations
-g2(tau) built from post-emission conditional states and propagated in the
-real coordinates of the Hermitian basis (see liouvillian) with the step
-operator expm(L_H dt) on a uniform delay grid, and FFT extraction of the
-anti-bunching timescale. Times are in units of the inverse boson decay
-rate; absolute seconds enter only through the configured rate in Hz.
+g2(tau) built from post-emission conditional states and sampled on a
+uniform delay grid by liouvillian.correlation_samples (all propagation
+lives in liouvillian), and FFT extraction of the anti-bunching timescale.
+Times are in units of the inverse boson decay rate; absolute seconds enter
+only through the configured rate in Hz.
 """
 
 from __future__ import annotations
@@ -14,9 +14,8 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .liouvillian import Liouvillian, NumericalError, _hermitian_coords, steady_state_residual, vec
+from .liouvillian import Liouvillian, NumericalError, correlation_samples, steady_state_residual
 from .models import adiabatic_eliminate, rabi_frequency
 from .operators import QUBIT_NUMBER, SIGMA_MINUS, DensityMatrix, embed
 
@@ -58,8 +57,6 @@ def concurrence(rho2q: DensityMatrix) -> ConcurrenceResult:
     if rho2q.layout.dims != (2, 2):
         raise ValueError(f"concurrence needs a [2, 2] state, got layout {rho2q.layout.dims}")
     rho = rho2q.matrix
-    if abs(np.trace(rho) - 1.0) > 1e-8 or np.abs(rho - rho.conj().T).max() > 1e-8:
-        raise ValueError("input is not a valid density matrix within 1e-8")
 
     # The lambdas are sqrt(eig(rho @ rho_tilde)) with
     # rho_tilde = (sy x sy) rho* (sy x sy). Computing eig of that
@@ -108,7 +105,7 @@ def post_jump_state(rho: DensityMatrix, emitter: int) -> tuple[DensityMatrix, fl
     weight = float(np.trace(unnorm).real)
     if weight < DARK_TOL:
         raise DarkEmitterError(f"emitter {emitter} dark: weight {weight:.3e} < {DARK_TOL}")
-    return DensityMatrix.from_matrix(rho.layout, unnorm / weight), weight
+    return DensityMatrix(rho.layout, unnorm / weight), weight
 
 
 @dataclass(frozen=True)
@@ -170,19 +167,11 @@ def g2_trace(l: Liouvillian, rho_ss: DensityMatrix, tau_max: float,
     """Photon correlation g2 over a uniform delay grid [0, tau_max].
 
     Propagates the normalized post-emission states of each bright emitter
-    under l and records sum_ij Tr[n_j rho_i(tau)]. Everything is real: in
-    the Hermitian basis the step operator is P = expm(L_H dt), and sample k
-    is raw[k] = c_N . P^k c_v, where c_N and c_v are the coordinates of the
-    number sum N and of the summed post-jump states. Writing k = j b + i
-    with b ~ sqrt(n_samples), the b baby steps P^i c_v and the
-    n_samples / b giant steps c_N Q^j meet in one
-    (n_samples / b x d^2) (d^2 x b) matrix product. That replaces
-    n_samples - 1 matrix-vector products issued one by one from Python with
-    about 2 sqrt(n_samples) of them and a single BLAS call. b is a power of
-    two, so the giant step Q = P^b is log2(b) squarings of P: the last
-    stage of the scaling and squaring that expm(L_H b dt) would run, which
-    leaves one matrix exponential per call. The zero delay sample is always
-    computed directly (no propagation), so it agrees exactly with g2_zero.
+    under l and records sum_ij Tr[n_j rho_i(tau)]. L is linear, so this is
+    one correlation_samples call (liouvillian) for the number sum N and the
+    summed post-jump states, with one matrix exponential. The zero delay
+    sample is always computed directly (no propagation), so it agrees
+    exactly with g2_zero.
 
     tau_max should be long enough for the tail to settle; default_tau_max
     provides the standard window for a parameter set. n_samples must be a
@@ -197,21 +186,7 @@ def g2_trace(l: Liouvillian, rho_ss: DensityMatrix, tau_max: float,
     taus = np.linspace(0.0, tau_max, n_samples)
     dt = tau_max / (n_samples - 1)
 
-    n_baby = 1 << (n_samples.bit_length() // 2)
-    baby = np.empty((l.dim * l.dim, n_baby))
-    baby[:, 0] = _hermitian_coords(sum(vec(s.matrix) for s in initial))
-    step = scipy.linalg.expm(l.generator * dt)
-    for i in range(1, n_baby):
-        baby[:, i] = step @ baby[:, i - 1]
-    giant_step = step
-    for _ in range(n_baby.bit_length() - 1):
-        giant_step = giant_step @ giant_step
-    giant = np.empty((n_samples // n_baby, l.dim * l.dim))
-    giant[0] = _hermitian_coords(vec(number_sum))
-    for j in range(1, giant.shape[0]):
-        giant[j] = giant[j - 1] @ giant_step
-    raw = (giant @ baby).reshape(n_samples)
-
+    raw = correlation_samples(l, number_sum, sum(s.matrix for s in initial), dt, n_samples)
     raw[0] = raw_zero
     normalized = raw / asymptote
 

@@ -89,9 +89,7 @@ class DensityMatrix:
     """Trace-one Hermitian positive operator on a labeled composite space.
 
     Construction validates trace (1e-10), Hermiticity (1e-10) and numerical
-    positivity (min eigenvalue >= -1e-9, else NegativeEigenvalueError). Use
-    ``from_matrix(..., normalize=True)`` to renormalize the trace of raw
-    numerical output before validation.
+    positivity (min eigenvalue >= -1e-9, else NegativeEigenvalueError).
     """
 
     layout: SpaceLayout
@@ -113,18 +111,6 @@ class DensityMatrix:
         m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def from_matrix(cls, layout: SpaceLayout, matrix: np.ndarray,
-                    normalize: bool = False) -> "DensityMatrix":
-        m = np.asarray(matrix, dtype=complex)
-        if normalize:
-            m = hermitize(m)
-            tr = np.trace(m).real
-            if abs(tr) < 1e-300:
-                raise ValueError("cannot normalize a traceless matrix")
-            m = m / tr
-        return cls(layout, m)
 
     @classmethod
     def pure(cls, layout: SpaceLayout, ket: np.ndarray) -> "DensityMatrix":

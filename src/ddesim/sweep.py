@@ -16,6 +16,7 @@ at the next boson truncation.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -85,16 +86,10 @@ class GridSpec:
 
     def cells(self) -> list[FullModelParams]:
         """Cell parameter sets in row-major (axis1 outer, axis2 inner) order."""
-        out = []
-        for v1 in self.axis_values(0):
-            if self.axis2 is None:
-                out.append(dataclasses.replace(self.base, **{self.axis1[0]: float(v1)}))
-            else:
-                for v2 in self.axis_values(1):
-                    out.append(dataclasses.replace(
-                        self.base,
-                        **{self.axis1[0]: float(v1), self.axis2[0]: float(v2)}))
-        return out
+        names = [axis[0] for axis in self.axes]
+        values = [self.axis_values(k).tolist() for k in range(len(names))]
+        return [dataclasses.replace(self.base, **dict(zip(names, point)))
+                for point in itertools.product(*values)]
 
 
 @dataclass(frozen=True)
@@ -122,7 +117,6 @@ class SweepResult:
 
     spec: GridSpec
     rows: tuple[CellResult, ...]
-    n_max: int
     cell_seconds: tuple[float, ...]
 
     def valid_rows(self) -> list[CellResult]:
@@ -171,7 +165,7 @@ def run_sweep(spec: GridSpec, workers: int = 1) -> SweepResult:
 
     rows = tuple(cell for cell, _ in outcomes)
     seconds = tuple(sec for _, sec in outcomes)
-    return SweepResult(spec=spec, rows=rows, n_max=spec.base.n_max, cell_seconds=seconds)
+    return SweepResult(spec=spec, rows=rows, cell_seconds=seconds)
 
 
 def correlation_stats(result: SweepResult) -> float:
@@ -189,18 +183,14 @@ def correlation_stats(result: SweepResult) -> float:
     return float(np.corrcoef(g2, conc)[0, 1])
 
 
-def truncation_check(params: FullModelParams, n_max: int | None = None) -> float:
+def truncation_check(params: FullModelParams) -> float:
     """Boson-truncation convergence probe.
 
-    Recomputes steady-state concurrence and zero-delay g2 at n_max and
-    n_max + 1 and returns the largest absolute change. A decoupled boson
-    (g0 = g1 = 0 with no boson drive) cannot influence the qubit
-    observables, so the change is identically zero there.
+    Recomputes steady-state concurrence and zero-delay g2 at params.n_max
+    and params.n_max + 1 and returns the largest absolute change. A
+    decoupled boson (g0 = g1 = 0 with no boson drive) cannot influence the
+    qubit observables, so the change is identically zero there.
     """
-    if n_max is None:
-        n_max = params.n_max
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
     if params.g0 == 0.0 and params.g1 == 0.0 and params.eta_a == 0.0:
         return 0.0
 
@@ -209,6 +199,6 @@ def truncation_check(params: FullModelParams, n_max: int | None = None) -> float
         rho = steady_state(liou)
         return concurrence(partial_trace(rho, (0, 1))).value, g2_zero(liou, rho)
 
-    c_lo, g_lo = observables_at(n_max)
-    c_hi, g_hi = observables_at(n_max + 1)
+    c_lo, g_lo = observables_at(params.n_max)
+    c_hi, g_hi = observables_at(params.n_max + 1)
     return max(abs(c_hi - c_lo), abs(g_hi - g_lo))

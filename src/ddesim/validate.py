@@ -56,7 +56,7 @@ def _random_density(rng, dim: int) -> np.ndarray:
 
 def _check_partial_trace(rng):
     layout = qubit_pair_boson_layout(2)
-    rho = DensityMatrix.from_matrix(layout, _random_density(rng, layout.total_dim))
+    rho = DensityMatrix(layout, _random_density(rng, layout.total_dim))
     reduced = partial_trace(rho, (0, 1)).matrix
     # quadruple-loop contraction as the independent oracle
     t = rho.matrix.reshape(2, 2, 3, 2, 2, 3)
@@ -134,7 +134,7 @@ def _check_concurrence_oracles(rng):
     a_ket = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
     werner_base = np.outer(a_ket, a_ket.conj())
     for p in (0.2, 0.5, 0.9):
-        rho = DensityMatrix.from_matrix(
+        rho = DensityMatrix(
             TWO_QUBIT_LAYOUT, p * werner_base + (1 - p) * np.eye(4) / 4)
         want = max(0.0, (3 * p - 1) / 2)
         got = concurrence(rho).value

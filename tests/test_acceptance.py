@@ -261,7 +261,7 @@ def test_9_concurrence_oracle():
     phi = np.array([1.0, 0, 0, 1.0]) / np.sqrt(2)
     bell = np.outer(phi, phi)
     for pmix in (0.2, 0.5, 0.9):
-        rho = DensityMatrix.from_matrix(
+        rho = DensityMatrix(
             layout, pmix * bell + (1 - pmix) * np.eye(4) / 4)
         want = max(0.0, (3 * pmix - 1) / 2)
         got = concurrence(rho).value

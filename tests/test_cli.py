@@ -256,6 +256,33 @@ def test_bad_set_value_exits_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--bogus"], ["--workers", "abc"], ["--workers", "0"]],
+                         ids=["unknown-flag", "non-integer-workers", "zero-workers"])
+def test_usage_errors_exit_config_error(tmp_path, capsys, flags):
+    # exit code 2 is reserved for numerical failure, so argparse's usage
+    # errors must not leak through
+    out = tmp_path / "x.csv"
+    assert main(["steady", "--out", str(out), *flags]) == 1
+    assert capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_workers_flag_overrides_set(tmp_path):
+    out = tmp_path / "x.csv"
+    assert main(["concurrence-map", "--out", str(out), "--set", "workers=0",
+                 "--workers", "1", "--set", "axis1=delta0", "--set", "axis1_min=-0.02",
+                 "--set", "axis1_max=0.02", "--set", "axis1_points=2"]) == 0
+    meta = json.loads((tmp_path / "x.csv.meta.json").read_text())
+    assert meta["settings"]["workers"] == 1
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: ddesim" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("argv", [
     ["g2", "--set", "gamma_a_abs=0"],
     ["timescale-map", "--set", "gamma_a_abs=0", "--set", "axis1=eta1",

@@ -27,8 +27,15 @@ from ddesim import (
     truncation_check,
 )
 from ddesim import liouvillian as liouvillian_module
-from ddesim.liouvillian import Liouvillian, NumericalError, steady_state_residual, unvec, vec
-from ddesim.operators import QUBIT_NUMBER
+from ddesim.liouvillian import (
+    Liouvillian,
+    NumericalError,
+    correlation_samples,
+    steady_state_residual,
+    unvec,
+    vec,
+)
+from ddesim.operators import QUBIT_NUMBER, SIGMA_Z
 from ddesim.validate import integrator_states
 
 
@@ -364,6 +371,22 @@ def test_g2_trace_makes_one_matrix_exponential(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
     g2_trace(liou, rho, default_tau_max(p))
     assert shapes == [(liou.superop.shape, np.dtype(float))]
+
+
+@pytest.mark.parametrize("n, dt", [(256, 0.1), (300, 0.1), (1024, 0.03)])
+def test_correlation_samples_match_per_sample_expm(n, dt):
+    # sigma_z after the exceptional-point qubit of
+    # test_evolve_exact_at_exceptional_point starts from |+><+|, a pairing
+    # g2 never propagates; n = 300 leaves the last giant step partly unused
+    gamma = 1.0
+    h = 0.5 * (gamma / 4) * (SIGMA_PLUS + SIGMA_MINUS)
+    liou = build_liouvillian(h, [JumpTerm(gamma, SIGMA_MINUS)], SpaceLayout((2,)))
+    x0 = np.full((2, 2), 0.5)
+    got = correlation_samples(liou, SIGMA_Z, x0, dt, n)
+    want = np.array([np.trace(SIGMA_Z @ unvec(scipy.linalg.expm(liou.superop * (k * dt))
+                                                @ vec(x0))).real for k in range(n)])
+    assert got.shape == (n,)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_truncation_check_decoupled_boson():

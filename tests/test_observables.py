@@ -42,7 +42,7 @@ def random_density(rng, layout):
     d = layout.total_dim
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = a @ a.conj().T
-    return DensityMatrix.from_matrix(layout, rho / np.trace(rho))
+    return DensityMatrix(layout, rho / np.trace(rho))
 
 
 def bell_state():
@@ -54,7 +54,7 @@ def test_concurrence_reference_states():
     assert concurrence(DensityMatrix.pure(QB, u[:, 2])).value == pytest.approx(1.0, abs=1e-12)
     assert concurrence(DensityMatrix.pure(QB, u[:, 3])).value == 0.0
     assert concurrence(bell_state()).value == pytest.approx(1.0, abs=1e-12)
-    mixed = DensityMatrix.from_matrix(QB, np.eye(4) / 4)
+    mixed = DensityMatrix(QB, np.eye(4) / 4)
     assert concurrence(mixed).value == 0.0
 
 
@@ -62,7 +62,7 @@ def test_concurrence_werner_closed_form():
     # p |Phi+><Phi+| + (1-p) I/4 has concurrence max(0, (3p - 1)/2)
     phi = bell_state().matrix
     for p in (0.2, 1 / 3, 0.5, 0.8, 1.0):
-        rho = DensityMatrix.from_matrix(QB, p * phi + (1 - p) * np.eye(4) / 4)
+        rho = DensityMatrix(QB, p * phi + (1 - p) * np.eye(4) / 4)
         want = max(0.0, (3 * p - 1) / 2)
         assert concurrence(rho).value == pytest.approx(want, abs=1e-12)
 
@@ -87,7 +87,7 @@ def test_concurrence_local_unitary_invariance():
         q0, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
         q1, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
         u = np.kron(q0, q1)
-        rotated = DensityMatrix.from_matrix(QB, u @ rho.matrix @ u.conj().T)
+        rotated = DensityMatrix(QB, u @ rho.matrix @ u.conj().T)
         assert concurrence(rotated).value == pytest.approx(base, abs=1e-10)
 
 
@@ -102,9 +102,9 @@ def test_concurrence_lambda_ordering_and_sqrt_variant():
 
 def test_concurrence_rejects_non_qubit_pairs():
     with pytest.raises(ValueError):
-        concurrence(DensityMatrix.from_matrix(SpaceLayout((4,)), np.eye(4) / 4))
+        concurrence(DensityMatrix(SpaceLayout((4,)), np.eye(4) / 4))
     with pytest.raises(ValueError):
-        concurrence(DensityMatrix.from_matrix(SpaceLayout((2, 2, 2)), np.eye(8) / 8))
+        concurrence(DensityMatrix(SpaceLayout((2, 2, 2)), np.eye(8) / 8))
 
 
 def test_post_jump_state_antisymmetric():

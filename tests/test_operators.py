@@ -102,13 +102,6 @@ def test_density_matrix_validation():
         DensityMatrix(layout, np.diag([1.5, -0.5]))  # negative eigenvalue
 
 
-def test_density_matrix_from_matrix_normalizes():
-    layout = SpaceLayout((2,))
-    rho = DensityMatrix.from_matrix(layout, 3.0 * np.diag([0.25, 0.75]), normalize=True)
-    assert np.trace(rho.matrix) == pytest.approx(1.0)
-    assert rho.matrix[1, 1] == pytest.approx(0.75)
-
-
 def test_density_matrix_pure_and_expect():
     layout = SpaceLayout((2, 2))
     ket = np.zeros(4)
@@ -151,7 +144,7 @@ def test_partial_trace_against_brute_force():
     rng = np.random.default_rng(11)
     dims = (2, 3, 2)
     layout = SpaceLayout(dims)
-    rho = DensityMatrix.from_matrix(layout, random_density(rng, 12))
+    rho = DensityMatrix(layout, random_density(rng, 12))
     for keep in [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]:
         reduced = partial_trace(rho, keep)
         want = brute_force_partial_trace(rho.matrix, dims, keep)
@@ -164,7 +157,7 @@ def test_partial_trace_product_state_factorizes():
     layout = SpaceLayout((2, 3))
     rho_a = random_density(rng, 2)
     rho_b = random_density(rng, 3)
-    rho = DensityMatrix.from_matrix(layout, np.kron(rho_a, rho_b))
+    rho = DensityMatrix(layout, np.kron(rho_a, rho_b))
     assert np.allclose(partial_trace(rho, (0,)).matrix, rho_a, atol=1e-12)
     assert np.allclose(partial_trace(rho, (1,)).matrix, rho_b, atol=1e-12)
 
@@ -172,7 +165,7 @@ def test_partial_trace_product_state_factorizes():
 def test_partial_trace_preserves_trace_and_hermiticity():
     rng = np.random.default_rng(17)
     layout = SpaceLayout((2, 2, 3))
-    rho = DensityMatrix.from_matrix(layout, random_density(rng, 12))
+    rho = DensityMatrix(layout, random_density(rng, 12))
     reduced = partial_trace(rho, (0, 1))
     assert np.trace(reduced.matrix) == pytest.approx(1.0)
     assert np.allclose(reduced.matrix, reduced.matrix.conj().T)
@@ -181,7 +174,7 @@ def test_partial_trace_preserves_trace_and_hermiticity():
 def test_partial_trace_rejects_bad_sites():
     rng = np.random.default_rng(19)
     layout = SpaceLayout((2, 2))
-    rho = DensityMatrix.from_matrix(layout, random_density(rng, 4))
+    rho = DensityMatrix(layout, random_density(rng, 4))
     with pytest.raises(ValueError):
         partial_trace(rho, ())
     with pytest.raises(ValueError):

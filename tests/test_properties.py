@@ -77,7 +77,7 @@ def test_evolve_preserves_trace_and_hermiticity(p, seed):
     assert np.abs(out - out.conj().T).max() < 1e-14
     # the drift is measured before the renormalization evolve applies, and
     # the stepped state matches the unsymmetrized one-shot propagator
-    rho0 = DensityMatrix.from_matrix(liou.layout, rho)
+    rho0 = DensityMatrix(liou.layout, rho)
     res = evolve(liou, rho0, np.linspace(0.0, 500.0, 11))
     assert res.max_trace_drift < 1e-9
     direct = unvec(scipy.linalg.expm(liou.superop * 500.0) @ vec(rho))
@@ -112,8 +112,7 @@ def test_concurrence_bounded_and_local_unitary_invariant(p, seed):
     c = concurrence(rho2q).value
     assert 0.0 <= c <= 1.0
     u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
-    rotated = DensityMatrix.from_matrix(rho2q.layout, u @ rho2q.matrix @ u.conj().T,
-                                        normalize=True)
+    rotated = DensityMatrix(rho2q.layout, u @ rho2q.matrix @ u.conj().T)
     assert abs(concurrence(rotated).value - c) < 1e-9
 
 

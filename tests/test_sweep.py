@@ -192,7 +192,7 @@ def test_cli_default_workers_are_the_usable_cpus(monkeypatch, tmp_path):
 
     def recording_sweep(spec, workers=1):
         seen.append(workers)
-        return SweepResult(spec=spec, rows=(), n_max=2, cell_seconds=())
+        return SweepResult(spec=spec, rows=(), cell_seconds=())
 
     monkeypatch.setattr(ddesim.cli, "run_sweep", recording_sweep)
     monkeypatch.setattr(ddesim.cli.os, "sched_getaffinity", lambda pid: {0, 3, 5},
@@ -239,8 +239,7 @@ def fabricated_result(pairs, n_flagged=0):
             for i, (g, c) in enumerate(pairs)]
     rows += [CellResult(axis_values=(9.0 + i,), error="NumericalError: synthetic")
              for i in range(n_flagged)]
-    return SweepResult(spec=spec, rows=tuple(rows), n_max=2,
-                       cell_seconds=tuple(0.0 for _ in rows))
+    return SweepResult(spec=spec, rows=tuple(rows), cell_seconds=tuple(0.0 for _ in rows))
 
 
 def test_correlation_stats_anticorrelated_grid():
