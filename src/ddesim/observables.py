@@ -4,6 +4,8 @@ Wootters concurrence of two-qubit states, quantum-jump photon correlations
 g2(tau) built from post-emission conditional states and sampled on a
 uniform delay grid by liouvillian.correlation_samples (all propagation
 lives in liouvillian), and FFT extraction of the anti-bunching timescale.
+g2(0) is a ratio of linear functionals of the steady state, each one vdot
+with an operator cached per layout, so it builds no conditional state.
 Times are in units of the inverse boson decay rate; absolute seconds enter
 only through the configured rate in Hz.
 """
@@ -20,6 +22,10 @@ from .models import adiabatic_eliminate, rabi_frequency
 from .operators import QUBIT_NUMBER, SIGMA_MINUS, DensityMatrix, embed
 
 DARK_TOL = 1e-14
+# smallest weight <n_i> of a bright emitter whose post-jump statistics are
+# resolved: the entries of a solved rho carry roundoff of about 2e-16, so
+# Tr[N rho_i] is off by about 2e-16 / <n_i> relative, 2e-7 at this floor
+WEIGHT_FLOOR = 1e-9
 TAIL_FRACTION = 0.05
 TAIL_TOL = 0.05
 NEGATIVE_TOL = 1e-9
@@ -30,6 +36,10 @@ MIN_N_SAMPLES = 256
 
 class DarkEmitterError(NumericalError):
     """The requested emitter carries no excitation to emit."""
+
+
+class FaintEmitterError(NumericalError):
+    """An emitter is bright but too faint for its post-jump statistics to be resolved."""
 
 
 class FlatSpectrumError(NumericalError):
@@ -93,6 +103,23 @@ def _number_sum(layout) -> np.ndarray:
     return n
 
 
+@functools.lru_cache(maxsize=8)
+def _emission_functionals(layout) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per qubit i, (n_i, sigma_i+ N sigma_i-) embedded in layout, read-only.
+
+    Both are Hermitian, so Tr[A rho] = vdot(A, rho): the weight <n_i> and
+    the zero-delay numerator Tr[N sigma_i- rho sigma_i+] = <n_i> Tr[N rho_i].
+    """
+    out = []
+    for i in (0, 1):
+        sm = _lower_at(layout, i)
+        pair = (sm.conj().T @ sm, sm.conj().T @ _number_sum(layout) @ sm)
+        for op in pair:
+            op.flags.writeable = False
+        out.append(pair)
+    return tuple(out)
+
+
 def post_jump_state(rho: DensityMatrix, emitter: int) -> tuple[DensityMatrix, float]:
     """Conditional state after a photon emission from the given qubit.
 
@@ -134,31 +161,43 @@ class CorrelationTrace:
 
 
 def _emission_setup(l: Liouvillian, rho_ss: DensityMatrix):
-    """Bright/dark split, normalized post-jump states, number-sum operator."""
+    """Bright/dark split, bright weights, asymptote and raw zero-delay value.
+
+    Every statistic is a linear functional of rho_ss, one vdot with an
+    operator cached per layout: the weight w_i = <n_i> = Tr[sigma_i+ sigma_i- rho]
+    and the numerator Tr[sigma_i+ N sigma_i- rho] = w_i Tr[N rho_i] of each
+    emitter, and the asymptote |bright| Tr[N rho]. So g2(0), the ratio of
+    sum_i numerator_i / w_i to the asymptote, builds no post-jump state.
+    An emitter with w_i below DARK_TOL is dark. A bright one below
+    WEIGHT_FLOOR raises FaintEmitterError, and two dark ones raise
+    DarkEmitterError.
+    """
     residual = steady_state_residual(l, rho_ss)
     if not residual <= 1e-8:
         raise ValueError(f"rho_ss is not a steady state of l (residual {residual:.3e})")
 
-    number_sum = _number_sum(rho_ss.layout)
-    bright, dark, initial = [], [], []
-    for i in (0, 1):
-        try:
-            state, _ = post_jump_state(rho_ss, i)
-        except DarkEmitterError:
+    rho = rho_ss.matrix
+    bright, dark, weights, raw_zero = [], [], [], 0
+    for i, (number, jump_number) in enumerate(_emission_functionals(rho_ss.layout)):
+        weight = float(np.vdot(number, rho).real)
+        if weight < DARK_TOL:
             dark.append(i)
             continue
+        if weight < WEIGHT_FLOOR:
+            raise FaintEmitterError(
+                f"emitter {i} weight {weight:.3e} is below the resolved floor {WEIGHT_FLOOR}")
         bright.append(i)
-        initial.append(state)
+        weights.append(weight)
+        raw_zero += float(np.vdot(jump_number, rho).real) / weight
     if not bright:
         raise DarkEmitterError("both emitters dark: no emission statistics exist")
-    asymptote = len(bright) * float(np.trace(number_sum @ rho_ss.matrix).real)
-    raw_zero = sum(float(np.trace(number_sum @ s.matrix).real) for s in initial)
-    return tuple(bright), tuple(dark), initial, number_sum, asymptote, raw_zero
+    asymptote = len(bright) * float(np.vdot(_number_sum(rho_ss.layout), rho).real)
+    return tuple(bright), tuple(dark), tuple(weights), asymptote, raw_zero
 
 
 def g2_zero(l: Liouvillian, rho_ss: DensityMatrix) -> float:
     """Normalized zero-delay correlation, computed without propagation."""
-    _, _, _, _, asymptote, raw_zero = _emission_setup(l, rho_ss)
+    _, _, _, asymptote, raw_zero = _emission_setup(l, rho_ss)
     return raw_zero / asymptote
 
 
@@ -182,11 +221,16 @@ def g2_trace(l: Liouvillian, rho_ss: DensityMatrix, tau_max: float,
     if n_samples < MIN_N_SAMPLES or (n_samples & (n_samples - 1)) != 0:
         raise ValueError(f"n_samples must be a power of two >= {MIN_N_SAMPLES}, got {n_samples}")
 
-    bright, dark, initial, number_sum, asymptote, raw_zero = _emission_setup(l, rho_ss)
+    bright, dark, weights, asymptote, raw_zero = _emission_setup(l, rho_ss)
     taus = np.linspace(0.0, tau_max, n_samples)
     dt = tau_max / (n_samples - 1)
 
-    raw = correlation_samples(l, number_sum, sum(s.matrix for s in initial), dt, n_samples)
+    layout = rho_ss.layout
+    post_jump_sum = 0
+    for i, weight in zip(bright, weights):
+        sm = _lower_at(layout, i)
+        post_jump_sum = post_jump_sum + sm @ rho_ss.matrix @ sm.conj().T / weight
+    raw = correlation_samples(l, _number_sum(layout), post_jump_sum, dt, n_samples)
     raw[0] = raw_zero
     normalized = raw / asymptote
 

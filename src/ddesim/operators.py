@@ -15,6 +15,7 @@ safe to share across worker processes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,7 +60,7 @@ class SpaceLayout:
 
     @property
     def total_dim(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     @property
     def n_subsystems(self) -> int:
@@ -103,9 +104,10 @@ class DensityMatrix:
         tr = np.trace(m)
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"trace {tr} deviates from 1 by more than {TRACE_TOL}")
-        if np.max(np.abs(m - m.conj().T)) > HERM_TOL:
+        mh = m.conj().T
+        if np.max(np.abs(m - mh)) > HERM_TOL:
             raise ValueError("matrix is not Hermitian within 1e-10")
-        min_eig = float(np.linalg.eigvalsh(hermitize(m)).min())
+        min_eig = float(np.linalg.eigvalsh(0.5 * (m + mh))[0])
         if min_eig < -EIG_TOL:
             raise NegativeEigenvalueError(min_eig)
         m = m.copy()

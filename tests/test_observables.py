@@ -184,6 +184,25 @@ def test_g2_trace_matches_per_sample_expm(overrides):
         assert abs(trace.raw[k] - want) <= 1e-10 * abs(want), k
 
 
+def test_g2_builds_no_density_matrix(monkeypatch):
+    # the zero-delay statistics are functionals of rho and the propagated
+    # post-jump sum is a plain matrix: no state is built or validated
+    p = FullModelParams()
+    liou = build_liouvillian(*build_full_model(p))
+    rho = steady_state(liou)
+    built = []
+    post_init = DensityMatrix.__post_init__
+
+    def counting_post_init(self):
+        built.append(self.layout)
+        post_init(self)
+
+    monkeypatch.setattr(DensityMatrix, "__post_init__", counting_post_init)
+    g2_zero(liou, rho)
+    g2_trace(liou, rho, default_tau_max(p), 256)
+    assert built == []
+
+
 def test_g2_trace_records_dark_emitter():
     # undriven uncoupled second qubit relaxes dark; statistics use qubit 0
     p = FullModelParams(eta1=0.0, g1=0.0)

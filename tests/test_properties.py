@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddesim import (
+    DarkEmitterError,
     DensityMatrix,
     FullModelParams,
     apply_liouvillian,
@@ -15,14 +16,19 @@ from ddesim import (
     build_liouvillian,
     concurrence,
     default_tau_max,
+    embed,
     evolve,
     full_model_liouvillian,
     g2_trace,
+    g2_zero,
     ground_state,
     partial_trace,
+    post_jump_state,
     steady_state,
 )
 from ddesim.liouvillian import _hermitian_coords, _hermitian_vec, unvec, vec
+from ddesim.observables import _emission_setup
+from ddesim.operators import QUBIT_NUMBER
 from test_liouvillian import kron_assembly
 
 PROPERTY_SETTINGS = settings(max_examples=10, deadline=None, derandomize=True,
@@ -101,6 +107,41 @@ def test_g2_trace_invariant_under_qubit_exchange(p):
         liou, rho_ss = solved(q)
         traces.append(g2_trace(liou, rho_ss, default_tau_max(q), n_samples=256))
     assert np.abs(traces[0].normalized - traces[1].normalized).max() < 1e-9
+
+
+def post_jump_g2_zero(rho):
+    """g2(0) = sum_i Tr[N rho_i] / (|bright| Tr[N rho]) from post-jump states, with the split."""
+    number_sum = sum(embed(QUBIT_NUMBER, j, rho.layout) for j in (0, 1))
+    bright, dark, raw = [], [], 0.0
+    for i in (0, 1):
+        try:
+            state, _ = post_jump_state(rho, i)
+        except DarkEmitterError:
+            dark.append(i)
+            continue
+        bright.append(i)
+        raw += state.expect(number_sum)
+    return raw / (len(bright) * rho.expect(number_sum)), tuple(bright), tuple(dark)
+
+
+def assert_g2_zero_matches_post_jump_states(p):
+    liou, rho_ss = solved(p)
+    want, bright, dark = post_jump_g2_zero(rho_ss)
+    assert _emission_setup(liou, rho_ss)[:2] == (bright, dark)
+    assert abs(g2_zero(liou, rho_ss) - want) <= 1e-12 * abs(want)
+
+
+@PROPERTY_SETTINGS
+@given(params_strategy)
+def test_g2_zero_matches_post_jump_states(p):
+    assert_g2_zero_matches_post_jump_states(p)
+
+
+def test_g2_zero_matches_post_jump_states_with_a_dark_emitter():
+    # qubit 1 undriven and uncoupled: it relaxes to the ground state
+    p = FullModelParams(eta1=0.0, g1=0.0)
+    assert _emission_setup(*solved(p))[:2] == ((0,), (1,))
+    assert_g2_zero_matches_post_jump_states(p)
 
 
 @PROPERTY_SETTINGS

@@ -13,6 +13,7 @@ from ddesim import (
     full_model_liouvillian,
     run_sweep,
 )
+import ddesim
 import ddesim.cli
 import ddesim.liouvillian
 import ddesim.models
@@ -104,6 +105,30 @@ def test_only_numerical_failures_become_error_cells(monkeypatch):
         monkeypatch.setattr("ddesim.sweep.steady_state", failing_with(bug))
         with pytest.raises(type(bug), match="bug"):
             run_sweep(spec)
+
+
+def test_near_dark_emitter_is_flagged_or_resolved():
+    # qubit 1 is decoupled, so rho is a product state and g2(0) is exactly
+    # 0.5 while both emitters are bright. On eta1 = k * 1e-9, k = 1..30,
+    # <n_1> runs from 8.1e-15 to 7.2e-12. k = 1 is dark (below DARK_TOL) and
+    # carries the single-emitter value <n_1> / (<n_0> + <n_1>) ~ 1.6e-14; the
+    # rest lie under WEIGHT_FLOOR, where the roundoff of rho leaves g2(0)
+    # off by up to 2e-3 and the post-jump states fail the positivity check
+    base = FullModelParams(g1=0.0, gamma_r1=1e-2, gamma_d1=0.0)
+    observables = ("concurrence", "g2_zero")
+    rows = run_sweep(GridSpec(axis1=("eta1", 1e-9, 3e-8, 30), base=base,
+                              observables=observables)).rows
+    assert {1e-9, 3e-9, 1e-8, 3e-8} <= {round(r.axis_values[0], 18) for r in rows}
+    dark, *near_dark = rows
+    assert dark.ok and dark.g2_zero < 1e-12
+    for row in near_dark:
+        if row.ok:
+            assert abs(row.g2_zero - 0.5) <= 1e-6, row
+        else:
+            assert issubclass(getattr(ddesim, row.error.split(":")[0]), NumericalError), row
+    resolved = run_sweep(GridSpec(axis1=("eta1", 1e-6, 2e-6, 2), base=base,
+                                  observables=observables)).rows
+    assert all(r.ok and abs(r.g2_zero - 0.5) <= 1e-6 for r in resolved), resolved
 
 
 def test_cell_never_builds_the_complex_superoperator(monkeypatch):
