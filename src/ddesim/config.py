@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import FullModelParams
+from .observables import DEFAULT_N_SAMPLES, MIN_N_SAMPLES
 
 
 class ConfigError(ValueError):
@@ -43,7 +44,7 @@ class RunConfig:
     t_max: float | None = None
     n_times: int = 200
     tau_max: float | None = None
-    n_samples: int = 4096
+    n_samples: int = DEFAULT_N_SAMPLES
     axis1: str | None = None
     axis1_min: float | None = None
     axis1_max: float | None = None
@@ -154,9 +155,9 @@ def parse_config(path: str | None = None, overrides: tuple[str, ...] = ()) -> Ru
         raise ConfigError(f"invalid value for key 't_max': need > 0, got {cfg.t_max}")
     if cfg.tau_max is not None and cfg.tau_max <= 0:
         raise ConfigError(f"invalid value for key 'tau_max': need > 0, got {cfg.tau_max}")
-    if cfg.n_samples < 256 or (cfg.n_samples & (cfg.n_samples - 1)) != 0:
-        raise ConfigError(
-            f"invalid value for key 'n_samples': need a power of two >= 256, got {cfg.n_samples}")
+    if cfg.n_samples < MIN_N_SAMPLES or (cfg.n_samples & (cfg.n_samples - 1)) != 0:
+        raise ConfigError("invalid value for key 'n_samples': need a power of two "
+                          f">= {MIN_N_SAMPLES}, got {cfg.n_samples}")
     if cfg.workers is not None and cfg.workers < 1:
         raise ConfigError(f"invalid value for key 'workers': need >= 1, got {cfg.workers}")
     return cfg

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .liouvillian import Liouvillian, NumericalError, correlation_samples, steady_state_residual
-from .models import adiabatic_eliminate, rabi_frequency
+from .models import _rabi_frequency, adiabatic_eliminate
 from .operators import QUBIT_NUMBER, SIGMA_MINUS, DensityMatrix, embed
 
 DARK_TOL = 1e-14
@@ -257,8 +257,8 @@ def default_tau_max(params) -> float:
     times of the slower of the two effective qubit decay rates so that the
     tail has settled. Parameters with neither timescale raise NumericalError.
     """
-    omega = rabi_frequency(params)
     e = adiabatic_eliminate(params)
+    omega = _rabi_frequency(e)
     gamma_slow = min(e.gamma00, e.gamma11)
     osc = 10.0 * 2.0 * np.pi / omega if omega > 0 else 0.0
     relax = 50.0 / gamma_slow if gamma_slow > 0 else 0.0

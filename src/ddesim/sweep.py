@@ -187,13 +187,10 @@ def truncation_check(params: FullModelParams) -> float:
     """Boson-truncation convergence probe.
 
     Recomputes steady-state concurrence and zero-delay g2 at params.n_max
-    and params.n_max + 1 and returns the largest absolute change. A
-    decoupled boson (g0 = g1 = 0 with no boson drive) cannot influence the
-    qubit observables, so the change is identically zero there.
+    and params.n_max + 1 and returns the largest absolute change. Every
+    point takes the same path; a decoupled boson (g0 = g1 = 0 with no
+    boson drive) gives a change at roundoff level.
     """
-    if params.g0 == 0.0 and params.g1 == 0.0 and params.eta_a == 0.0:
-        return 0.0
-
     def observables_at(nm: int) -> tuple[float, float]:
         liou = full_model_liouvillian(dataclasses.replace(params, n_max=nm))
         rho = steady_state(liou)

@@ -3,8 +3,12 @@
 Every check is seeded and runs in at most a few seconds; together they
 exercise the operator algebra, the master-equation assembly, steady-state
 contracts, the concurrence oracles, the closed-form population formulas,
-and the correlation pipeline. Each check reports ok/FAIL; any failure
-makes the battery fail as a whole.
+and the correlation pipeline. The model checks run on the generator every
+command uses, full_model_liouvillian's parameter-affine table; the
+steady-state check holds that table to the direct assembly
+build_liouvillian(*build_full_model(p)), the one place the reference path
+runs. Each check reports ok/FAIL; any failure makes the battery fail as a
+whole.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .models import (
     dicke_hamiltonian,
     dicke_populations,
     dicke_transform,
+    full_model_liouvillian,
     ground_state,
     rabi_frequency,
 )
@@ -90,9 +95,16 @@ def _check_steady_state(rng):
         p = FullModelParams(
             delta0=rng.uniform(-0.1, 0.1), delta1=rng.uniform(-0.1, 0.1),
             g0=rng.uniform(0.01, 0.1), g1=rng.uniform(0.01, 0.1),
-            eta0=rng.uniform(0.01, 0.1), eta1=rng.uniform(0.01, 0.1))
-        h, jumps, layout = build_full_model(p)
-        liou = build_liouvillian(h, jumps, layout)
+            eta0=rng.uniform(0.01, 0.1), eta1=rng.uniform(0.01, 0.1),
+            # nonzero, so that every column of the table is compared
+            delta_a=rng.uniform(-0.5, 0.5), eta_a=rng.uniform(0.01, 0.1))
+        liou = full_model_liouvillian(p)
+        reference = build_liouvillian(*build_full_model(p)).generator
+        err = np.abs(liou.generator - reference).max()
+        scale = np.abs(reference).max()
+        assert err <= 1e-14 * scale, (
+            f"table generator deviates from the direct assembly by {err:.3e} "
+            f"(largest entry {scale:.3e})")
         rho = steady_state(liou)
         res = steady_state_residual(liou, rho)
         assert res < 1e-10, f"steady-state residual {res:.3e}"
@@ -119,12 +131,10 @@ def integrator_states(l, rho0: DensityMatrix, times) -> list[np.ndarray]:
 
 
 def _check_propagation_agreement(rng):
-    p = FullModelParams()
-    h, jumps, layout = build_full_model(p)
-    liou = build_liouvillian(h, jumps, layout)
+    liou = full_model_liouvillian(FullModelParams())
     times = np.linspace(0.0, 200.0, 21)
-    res = evolve(liou, ground_state(layout), times)
-    oracle = integrator_states(liou, ground_state(layout), times)
+    res = evolve(liou, ground_state(liou.layout), times)
+    oracle = integrator_states(liou, ground_state(liou.layout), times)
     err = max(np.abs(a.matrix - b).max() for a, b in zip(res.states, oracle))
     assert err < 1e-6, f"expm and integrator propagation differ by {err:.3e}"
     assert res.max_trace_drift <= 1e-9, f"trace drift {res.max_trace_drift:.3e}"
@@ -189,19 +199,27 @@ def _check_dicke_consistency(rng):
         err = np.abs(dicke_hamiltonian(d) - u.conj().T @ h @ u).max()
         assert err < 1e-12, f"Dicke-basis reconstruction deviates by {err:.3e}"
         assert abs(d.gamma_S + d.gamma_A - (e.gamma00 + e.gamma11)) < 1e-12
+        delta_plus = 0.5 * (e.dtilde0 + e.dtilde1)
+        relations = (
+            (d.delta_E, 2 * delta_plus),
+            (d.delta_S, delta_plus - e.gtilde),
+            (d.delta_A, delta_plus + e.gtilde),
+            (d.delta_minus, 0.5 * (e.dtilde0 - e.dtilde1)),
+        )
+        err = max(abs(got - want) for got, want in relations)
+        assert err < 1e-12, f"Dicke-basis levels deviate from the analytic relations by {err:.3e}"
 
 
 def _check_correlations(rng):
     p = FullModelParams()
-    h, jumps, layout = build_full_model(p)
-    liou = build_liouvillian(h, jumps, layout)
+    liou = full_model_liouvillian(p)
     rho_ss = steady_state(liou)
     trace = g2_trace(liou, rho_ss, default_tau_max(p), 1024)
     direct = g2_zero(liou, rho_ss)
     assert abs(direct - trace.g2_zero) < 1e-12, "g2_zero disagrees with trace at tau=0"
     assert trace.normalized.min() > -1e-9
     state, weight = post_jump_state(rho_ss, 0)
-    want = rho_ss.expect(np.kron(np.diag([0.0, 1.0]), np.eye(layout.total_dim // 2))).real
+    want = rho_ss.expect(np.kron(np.diag([0.0, 1.0]), np.eye(liou.layout.total_dim // 2))).real
     assert abs(weight - want) < 1e-12, "post-jump weight differs from <n_0>"
 
 
@@ -209,8 +227,7 @@ def _check_exchange_symmetry(rng):
     p = FullModelParams(delta0=0.03, delta1=-0.02, eta0=0.04, eta1=0.06)
     values = []
     for q in (p, p.swapped_qubits()):
-        h, jumps, layout = build_full_model(q)
-        rho = steady_state(build_liouvillian(h, jumps, layout))
+        rho = steady_state(full_model_liouvillian(q))
         values.append(concurrence(partial_trace(rho, (0, 1))).value)
     err = abs(values[0] - values[1])
     assert err < 1e-8, f"concurrence changes by {err:.3e} under qubit exchange"

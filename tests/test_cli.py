@@ -8,7 +8,8 @@ import pytest
 from ddesim import __version__
 from ddesim.cli import main
 from ddesim.config import _KEY_TYPES, ConfigError, parse_config
-from ddesim.validate import CHECKS, SEED
+from ddesim.models import _LINEAR_FIELDS, _affine_generator
+from ddesim.validate import CHECKS, SEED, run_validation
 
 
 def read_csv(path):
@@ -313,6 +314,32 @@ def test_validate_exit_codes(monkeypatch, capsys):
                          ids=[name.replace(" ", "-") for name, _ in CHECKS])
 def test_validate_check_passes(check):
     check(np.random.default_rng(SEED))
+
+
+def scale_table_column(monkeypatch, name):
+    """Make full_model_liouvillian read a table whose column for name is 0.1% off."""
+    column = ("L_0", *_LINEAR_FIELDS).index(name)
+
+    def perturbed(n_max, relaxation_operator):
+        index, coef = _affine_generator(n_max, relaxation_operator)
+        coef = coef.copy()
+        coef[:, column] *= 1.001
+        return index, coef
+
+    monkeypatch.setattr("ddesim.models._affine_generator", perturbed)
+
+
+def test_validation_covers_the_table_generator(monkeypatch):
+    # the table every command evaluates is what the battery checks
+    scale_table_column(monkeypatch, "eta0")
+    assert run_validation(emit=lambda line: None) >= 1
+
+
+@pytest.mark.parametrize("name", ["L_0", *_LINEAR_FIELDS])
+def test_steady_state_check_compares_every_table_column(monkeypatch, name):
+    scale_table_column(monkeypatch, name)
+    with pytest.raises(AssertionError, match="direct assembly"):
+        dict(CHECKS)["steady-state contract"](np.random.default_rng(SEED))
 
 
 def test_default_output_name(tmp_path, monkeypatch, capsys):

@@ -33,7 +33,13 @@ from ddesim import (
     steady_state,
 )
 from ddesim.liouvillian import _hermitian_index
-from ddesim.models import _affine_generator, _full_model_operators, boson_number
+from ddesim.models import (
+    _LINEAR_FIELDS,
+    PARAM_LIMIT,
+    _affine_generator,
+    _full_model_operators,
+    boson_number,
+)
 from ddesim.observables import _lower_at, _number_sum
 
 
@@ -55,6 +61,12 @@ def test_params_validation():
         FullModelParams(gamma_a_abs=0.0)
     with pytest.raises(ValueError):
         FullModelParams(delta0=np.inf)
+    # only real numbers enter; float32 is compared in float64, where 1e150 stays finite
+    for bad in (0.01j, np.complex128(0.01), np.float32("inf"), np.float32("nan")):
+        with pytest.raises(ValueError, match="delta0"):
+            FullModelParams(delta0=bad)
+    with pytest.raises(ValueError, match="gamma_r0 must be a real number"):
+        FullModelParams(gamma_r0=1e-3j)
     # no product of two parameters may overflow
     for name in ("gamma_d0", "delta0", "gamma_a_abs"):
         with pytest.raises(ValueError, match=f"{name} must be finite with magnitude at most 1e"):
@@ -62,10 +74,24 @@ def test_params_validation():
     with pytest.raises(ValueError, match="delta1"):
         FullModelParams(delta1=-1e308)
     assert FullModelParams(gamma_d0=1e150, delta0=-1e150).gamma_d0 == 1e150
-    with pytest.raises(ValueError):
-        FullModelParams(n_max=0)
+    for n_max in (0, 2.5):
+        with pytest.raises(ValueError, match="n_max must be an integer"):
+            FullModelParams(n_max=n_max)
     with pytest.raises(ValueError):
         FullModelParams(relaxation_operator="flip")
+
+
+@pytest.mark.parametrize("n_max", [1, 5])
+@pytest.mark.parametrize("relaxation_operator", ["lower", "raise"])
+def test_generator_finite_at_parameter_limit(n_max, relaxation_operator):
+    # every linear field at +-PARAM_LIMIT (rates positive) stays finite:
+    # a table row's absolute sum is at most n_max + 5
+    rates = ("gamma_r0", "gamma_r1", "gamma_d0", "gamma_d1")
+    for sign in (1.0, -1.0):
+        p = FullModelParams(n_max=n_max, relaxation_operator=relaxation_operator, **{
+            name: PARAM_LIMIT if name in rates else sign * PARAM_LIMIT
+            for name in _LINEAR_FIELDS})
+        assert np.all(np.isfinite(full_model_liouvillian(p).generator))
 
 
 def test_swapped_qubits_exchanges_labels():

@@ -258,6 +258,14 @@ def test_default_tau_max_regimes():
     assert default_tau_max(q) == pytest.approx(20.0 * np.pi / rabi_frequency(q))
 
 
+def test_default_tau_max_eliminates_once():
+    # outside weak coupling the elimination warns; one window, one warning
+    p = FullModelParams(g0=0.3)
+    with pytest.warns(UserWarning, match="untrustworthy") as record:
+        default_tau_max(p)
+    assert len(record) == 1
+
+
 def synthetic_trace(tau_max, n, freq=0.02, depth=0.8, decay=1500.0):
     taus = np.linspace(0.0, tau_max, n)
     normalized = 1.0 - depth * np.cos(2 * np.pi * freq * taus) * np.exp(-taus / decay)
