@@ -207,13 +207,29 @@ def _run_map(cfg: RunConfig, command: str, observables: tuple[str, ...]):
     this process may run on.
     """
     spec = _grid_spec(cfg, command, observables)
+    t0 = time.perf_counter()
     result = run_sweep(spec, workers=cfg.workers or _available_cpus())
+    sweep_seconds = time.perf_counter() - t0
     comments = _provenance(command, cfg)
     comments.append(f"axis1={spec.axis1}, axis2={spec.axis2}")
     failed = sum(0 if r.ok else 1 for r in result.rows)
     extra = {"axis1": list(spec.axis1), "axis2": list(spec.axis2) if spec.axis2 else None,
-             "cells": len(result.rows), "failed_cells": failed}
+             "cells": len(result.rows), "failed_cells": failed,
+             "timing": _timing(sweep_seconds, result.cell_seconds)}
     return result, comments, extra
+
+
+def _timing(sweep_seconds: float, cell_seconds) -> dict:
+    """The sweep's wall seconds and the distribution of its cells' seconds.
+
+    The sum of cell seconds against the wall seconds (times the workers)
+    shows the pool's own cost; a map without cells reports zeros.
+    """
+    cells = np.asarray(cell_seconds, dtype=float)
+    p50, p95, top = np.percentile(cells, (50, 95, 100)) if cells.size else (0.0, 0.0, 0.0)
+    return {"sweep_seconds": sweep_seconds, "cell_seconds_sum": float(cells.sum()),
+            "cell_seconds_p50": float(p50), "cell_seconds_p95": float(p95),
+            "cell_seconds_max": float(top)}
 
 
 def _map_rows(result, values) -> list[list]:

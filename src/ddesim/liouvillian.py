@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
+from scipy.linalg.lapack import dgecon, dgetrf, dgetrs, dlange
 
 from .operators import (
     EIG_TOL,
@@ -420,7 +420,7 @@ def steady_state(l: Liouvillian) -> DensityMatrix:
     a = np.array(l.generator, order="F")
     a[0] = 0.0
     a[0, :d] = 1.0
-    anorm = np.linalg.norm(a, 1)
+    anorm = dlange("1", a)
     lu, piv, info = dgetrf(a, overwrite_a=True)
     rcond = dgecon(lu, anorm)[0] if info == 0 else 0.0
     if rcond < RCOND_TOL:
@@ -444,8 +444,20 @@ def steady_state(l: Liouvillian) -> DensityMatrix:
 
 
 def _residual(l: Liouvillian, c: np.ndarray) -> float:
-    """Max-entry norm of the complex matrix L(rho) for the coordinates c of rho."""
-    return float(np.max(np.abs(_hermitian_vec(l.generator @ c))))
+    """Max-entry norm of the complex matrix L(rho) for the coordinates c of rho.
+
+    Read from the real coordinates r = L_H c without expanding them to the
+    d^2 entries: a diagonal entry is r_i, and both entries of the pair
+    (i, j), i < j, are sqrt(1/2) (r_sym +- i r_anti) of its two
+    coordinates, so one modulus per pair gives, bit for bit, what
+    _hermitian_vec would. A NaN anywhere makes the result NaN.
+    """
+    r = l.generator @ c
+    d = l.dim
+    pairs = np.empty((r.size - d) // 2, dtype=complex)
+    pairs.real = _SQRT_HALF * r[d:d + pairs.size]
+    pairs.imag = _SQRT_HALF * r[d + pairs.size:]
+    return float(np.max(np.abs(pairs), initial=np.max(np.abs(r[:d]))))
 
 
 def steady_state_residual(l: Liouvillian, rho: DensityMatrix) -> float:

@@ -9,14 +9,20 @@ from summary statistics, never given fabricated values; any other
 exception propagates. A process pool receives the cells in contiguous
 chunks, about four per worker, but still evaluates each cell on its own;
 results are collected in grid order, so output is identical for any worker
-count. truncation_check repeats the steady-state observables of one cell
-at the next boson truncation.
+count. Before a pool starts, the parent builds every per-process table a
+cell reads (the affine generator table of the spec's n_max and
+relaxation_operator, which no axis can change, and the per-layout index
+and observable operators), so that forked workers inherit them instead of
+each rebuilding them on its first cell. truncation_check repeats the
+steady-state observables of one cell at the next boson truncation.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
+import multiprocessing
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -24,16 +30,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .liouvillian import NumericalError, steady_state
-from .models import _FLOAT_FIELDS, FullModelParams, full_model_liouvillian
+from .models import _FLOAT_FIELDS, FullModelParams, _affine_generator, full_model_liouvillian
 from .observables import (
     DEFAULT_N_SAMPLES,
+    _emission_functionals,
     concurrence,
     default_tau_max,
     extract_timescale,
     g2_trace,
     g2_zero,
 )
-from .operators import partial_trace
+from .operators import partial_trace, qubit_pair_boson_layout
 
 OBSERVABLE_NAMES = ("concurrence", "g2_zero", "timescale")
 
@@ -144,13 +151,28 @@ def _evaluate_cell(args: tuple[FullModelParams, tuple[str, ...], tuple[float, ..
     return cell, time.perf_counter() - t0
 
 
+def _build_cell_tables(base: FullModelParams) -> None:
+    """Build the cached tables every cell with this base reads.
+
+    n_max and relaxation_operator are not sweepable, so all cells share the
+    affine generator table (whose build also caches the layout's Hermitian
+    index) and the emission operators of g2(0) and g2(tau).
+    """
+    _affine_generator(base.n_max, base.relaxation_operator)
+    _emission_functionals(qubit_pair_boson_layout(base.n_max))
+
+
 def run_sweep(spec: GridSpec, workers: int = 1) -> SweepResult:
     """Evaluate every grid cell, serially or across processes.
 
     A pool hands out contiguous chunks of len(cells) // (4 workers) cells,
     at least one, and starts no more processes than there are chunks.
-    Collection order is the grid order for any worker count, so results do
-    not depend on scheduling.
+    Before it starts, the parent builds the cached tables the cells read.
+    On Linux the workers are forked, so they inherit those tables
+    copy-on-write rather than each building them on its first cell; other
+    platforms keep their default start method. A serial sweep builds the
+    tables on its first cell. Collection order is the grid order for any
+    worker count, so results do not depend on scheduling.
     """
     jobs = [(p, spec.observables, tuple(getattr(p, axis[0]) for axis in spec.axes))
             for p in spec.cells()]
@@ -160,7 +182,9 @@ def run_sweep(spec: GridSpec, workers: int = 1) -> SweepResult:
     else:
         chunksize = max(1, len(jobs) // (4 * workers))
         chunks = -(-len(jobs) // chunksize)
-        with ProcessPoolExecutor(max_workers=min(workers, chunks)) as pool:
+        _build_cell_tables(spec.base)
+        context = multiprocessing.get_context("fork") if sys.platform == "linux" else None
+        with ProcessPoolExecutor(max_workers=min(workers, chunks), mp_context=context) as pool:
             outcomes = list(pool.map(_evaluate_cell, jobs, chunksize=chunksize))
 
     rows = tuple(cell for cell, _ in outcomes)

@@ -224,13 +224,17 @@ def _check_correlations(rng):
 
 
 def _check_exchange_symmetry(rng):
-    p = FullModelParams(delta0=0.03, delta1=-0.02, eta0=0.04, eta1=0.06)
+    # unequal couplings, so the swap changes the model; the concurrence
+    # (0.862) and g2(0) are both far from 0 here
+    p = FullModelParams(g1=0.048)
     values = []
     for q in (p, p.swapped_qubits()):
-        rho = steady_state(full_model_liouvillian(q))
-        values.append(concurrence(partial_trace(rho, (0, 1))).value)
-    err = abs(values[0] - values[1])
-    assert err < 1e-8, f"concurrence changes by {err:.3e} under qubit exchange"
+        liou = full_model_liouvillian(q)
+        rho = steady_state(liou)
+        values.append((concurrence(partial_trace(rho, (0, 1))).value, g2_zero(liou, rho)))
+    for name, before, after in zip(("concurrence", "g2(0)"), *values):
+        err = abs(before - after)
+        assert err < 1e-8, f"{name} changes by {err:.3e} under qubit exchange"
 
 
 CHECKS = (

@@ -342,6 +342,27 @@ def test_steady_state_check_compares_every_table_column(monkeypatch, name):
         dict(CHECKS)["steady-state contract"](np.random.default_rng(SEED))
 
 
+def test_exchange_check_fails_on_an_asymmetric_table(monkeypatch):
+    # with eta0's column 0.1% off the model is no longer symmetric under
+    # the qubit swap; concurrence then moves by about 1e-2, g2(0) by 4e-3
+    scale_table_column(monkeypatch, "eta0")
+    with pytest.raises(AssertionError, match="under qubit exchange"):
+        dict(CHECKS)["qubit-exchange symmetry"](np.random.default_rng(SEED))
+
+
+def test_map_meta_records_timing(tmp_path):
+    out = tmp_path / "m.csv"
+    assert main(["concurrence-map", "--out", str(out), "--workers", "1",
+                 "--set", "axis1=delta0", "--set", "axis1_min=-0.02",
+                 "--set", "axis1_max=0.02", "--set", "axis1_points=5"]) == 0
+    timing = json.loads((tmp_path / "m.csv.meta.json").read_text())["timing"]
+    assert set(timing) == {"sweep_seconds", "cell_seconds_sum", "cell_seconds_p50",
+                           "cell_seconds_p95", "cell_seconds_max"}
+    assert all(np.isfinite(v) and v >= 0 for v in timing.values())
+    assert timing["cell_seconds_p50"] <= timing["cell_seconds_p95"] <= timing["cell_seconds_max"]
+    assert timing["cell_seconds_max"] <= timing["cell_seconds_sum"] <= timing["sweep_seconds"]
+
+
 def test_default_output_name(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["steady"]) == 0

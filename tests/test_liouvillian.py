@@ -251,6 +251,21 @@ def test_steady_state_residual_check_fails_on_nan():
         steady_state(Liouvillian(liou.layout, generator))
 
 
+def test_steady_state_residual_check_fails_on_nan_in_off_diagonal_row():
+    # a NaN in the row of an off-diagonal pair coordinate must fail the
+    # check too, also where it reaches only that pair's entries of L(rho)
+    liou = build_liouvillian(*build_full_model(FullModelParams()))
+    d = liou.dim
+    generator = liou.generator.copy()
+    generator[d + 3, 7] = np.nan
+    broken = Liouvillian(liou.layout, generator)
+    with pytest.raises(NumericalError, match="residual nan"):
+        steady_state(broken)
+    # a finite state: only that pair's entries of L(rho) are NaN
+    rho = steady_state(liou)
+    assert np.isnan(steady_state_residual(broken, rho))
+
+
 def test_degenerate_kernel_is_rejected():
     # a driven qubit with no dissipation has no unique fixed point
     h = -0.05 * (SIGMA_PLUS + SIGMA_MINUS)

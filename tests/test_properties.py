@@ -26,7 +26,7 @@ from ddesim import (
     post_jump_state,
     steady_state,
 )
-from ddesim.liouvillian import _hermitian_coords, _hermitian_vec, unvec, vec
+from ddesim.liouvillian import _hermitian_coords, _hermitian_vec, _residual, unvec, vec
 from ddesim.observables import _emission_setup
 from ddesim.operators import QUBIT_NUMBER
 from test_liouvillian import kron_assembly
@@ -211,3 +211,17 @@ def test_affine_generator_matches_direct_assembly(p, delta_a, n_max, relaxation_
     assert liou.layout == direct.layout
     scale = np.abs(direct.generator).max()
     assert np.abs(liou.generator - direct.generator).max() <= 1e-14 * scale
+
+
+@PROPERTY_SETTINGS
+@given(params_strategy, seeds)
+def test_residual_matches_complex_expansion_bit_for_bit(p, seed):
+    # the residual is read from the real coordinates; it must equal the
+    # max-entry norm of the expanded complex matrix exactly, both at the
+    # steady state and at coordinates far from it
+    rng = np.random.default_rng(seed)
+    liou, rho_ss = solved(p)
+    for c in (_hermitian_coords(vec(rho_ss.matrix)),
+              _hermitian_coords(vec(random_hermitian(rng, liou.dim)))):
+        expanded = float(np.max(np.abs(_hermitian_vec(liou.generator @ c))))
+        assert _residual(liou, c) == expanded

@@ -1,5 +1,7 @@
 """Tests for the parameter-grid sweep harness and its summary statistics."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -176,13 +178,23 @@ def test_sweep_rows_independent_of_worker_count():
 
 
 class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its arguments, starts no process."""
+    """Stands in for ProcessPoolExecutor: records its arguments, starts no process.
+
+    It also records whether the affine generator table of the default model
+    was already cached when the pool was made, that is, before any worker
+    could have started.
+    """
 
     created = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, mp_context=None):
         self.max_workers = max_workers
+        self.mp_context = mp_context
         self.chunksize = None
+        misses = ddesim.models._affine_generator.cache_info().misses
+        ddesim.models._affine_generator(FullModelParams().n_max,
+                                        FullModelParams().relaxation_operator)
+        self.table_was_cached = ddesim.models._affine_generator.cache_info().misses == misses
         RecordingPool.created.append(self)
 
     def __enter__(self):
@@ -205,11 +217,42 @@ class RecordingPool:
 def test_pool_processes_capped_at_chunks(monkeypatch, cells, workers, processes, chunksize):
     monkeypatch.setattr(RecordingPool, "created", [])
     monkeypatch.setattr(ddesim.sweep, "ProcessPoolExecutor", RecordingPool)
+    # start cold, so that only the parent-side build can fill the table
+    ddesim.models._affine_generator.cache_clear()
     spec = GridSpec(axis1=("delta0", -0.02, 0.02, cells))
     rows = run_sweep(spec, workers=workers).rows
     assert len(rows) == cells
     [pool] = RecordingPool.created
     assert (pool.max_workers, pool.chunksize) == (processes, chunksize)
+    assert pool.table_was_cached
+    # forked workers inherit the parent's tables; elsewhere the default stays
+    if sys.platform == "linux":
+        assert pool.mp_context.get_start_method() == "fork"
+    else:
+        assert pool.mp_context is None
+
+
+def _cache_misses() -> dict[str, int]:
+    """Misses of every functools.lru_cache in ddesim's modules, by qualified name."""
+    misses = {}
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "ddesim" or module_name.startswith("ddesim."):
+            for name, obj in vars(module).items():
+                if hasattr(obj, "cache_info") and obj.__module__ == module_name:
+                    misses[f"{module_name}.{name}"] = obj.cache_info().misses
+    return misses
+
+
+def test_parent_build_leaves_cells_no_cache_miss():
+    # every table a cell reads is built before a pool starts; a cache left
+    # out of that build would be rebuilt by each worker on its first cell
+    params = FullModelParams(n_max=3)
+    ddesim.sweep._build_cell_tables(params)
+    before = _cache_misses()
+    assert before, "no caches found"
+    cell, _ = _evaluate_cell((params, ("concurrence", "g2_zero", "timescale"), ()))
+    assert cell.ok
+    assert _cache_misses() == before
 
 
 def test_cli_default_workers_are_the_usable_cpus(monkeypatch, tmp_path):
