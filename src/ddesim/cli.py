@@ -91,11 +91,6 @@ def _provenance(command: str, cfg: RunConfig) -> list[str]:
     return [f"ddesim {command} (version {__version__})", fields]
 
 
-def _solve_steady(cfg: RunConfig):
-    liou = full_model_liouvillian(cfg.params)
-    return liou, steady_state(liou)
-
-
 def cmd_populations(cfg: RunConfig):
     p = cfg.params
     t_max = cfg.t_max
@@ -128,8 +123,8 @@ def cmd_populations(cfg: RunConfig):
 
 
 def cmd_steady(cfg: RunConfig):
-    p = cfg.params
-    liou, rho_ss = _solve_steady(cfg)
+    liou = full_model_liouvillian(cfg.params)
+    rho_ss = steady_state(liou)
     layout = liou.layout
     rho2q = partial_trace(rho_ss, (0, 1))
     conc = concurrence(rho2q).value
@@ -158,7 +153,8 @@ def cmd_steady(cfg: RunConfig):
 
 def cmd_g2(cfg: RunConfig):
     p = cfg.params
-    liou, rho_ss = _solve_steady(cfg)
+    liou = full_model_liouvillian(p)
+    rho_ss = steady_state(liou)
     tau_max = cfg.tau_max if cfg.tau_max is not None else default_tau_max(p)
     trace = g2_trace(liou, rho_ss, tau_max, cfg.n_samples)
 

@@ -31,6 +31,7 @@ from .operators import (
     SpaceLayout,
     boson_destroy,
     embed,
+    partial_trace,
     qubit_pair_boson_layout,
 )
 
@@ -459,8 +460,6 @@ def _rabi_frequency(e: EffectiveParams) -> float:
 
 def dicke_populations(rho: DensityMatrix) -> tuple[float, float, float, float]:
     """(rho_E, rho_S, rho_A, rho_G) of a two-qubit or qubit-pair-boson state."""
-    from .operators import partial_trace  # local alias for readability
-
     if rho.layout.dims == (2, 2):
         r = rho
     elif rho.layout.dims[:2] == (2, 2):

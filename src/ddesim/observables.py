@@ -5,7 +5,8 @@ g2(tau) built from post-emission conditional states and sampled on a
 uniform delay grid by liouvillian.correlation_samples (all propagation
 lives in liouvillian), and FFT extraction of the anti-bunching timescale.
 g2(0) is a ratio of linear functionals of the steady state, each one vdot
-with an operator cached per layout, so it builds no conditional state.
+with an operator of the emission table cached per layout, so it builds no
+conditional state; post_jump_state, which does, is its reference.
 Times are in units of the inverse boson decay rate; absolute seconds enter
 only through the configured rate in Hz.
 """
@@ -19,7 +20,7 @@ import numpy as np
 
 from .liouvillian import Liouvillian, NumericalError, correlation_samples, steady_state_residual
 from .models import _rabi_frequency, adiabatic_eliminate
-from .operators import QUBIT_NUMBER, SIGMA_MINUS, DensityMatrix, embed
+from .operators import SIGMA_MINUS, DensityMatrix, embed
 
 DARK_TOL = 1e-14
 # smallest weight <n_i> of a bright emitter whose post-jump statistics are
@@ -83,51 +84,37 @@ def concurrence(rho2q: DensityMatrix) -> ConcurrenceResult:
     return ConcurrenceResult(value=value, lambdas=tuple(float(x) for x in lam))
 
 
-@functools.lru_cache(maxsize=16)
-def _lower_at(layout, emitter: int) -> np.ndarray:
-    """sigma- of the given qubit embedded in layout, read-only."""
-    if emitter not in (0, 1):
-        raise ValueError(f"emitter must be 0 or 1, got {emitter}")
-    if layout.dims[emitter] != 2:
-        raise ValueError(f"subsystem {emitter} of layout {layout.dims} is not a qubit")
-    sm = embed(SIGMA_MINUS, emitter, layout)
-    sm.flags.writeable = False
-    return sm
-
-
 @functools.lru_cache(maxsize=8)
-def _number_sum(layout) -> np.ndarray:
-    """n_0 + n_1, the summed qubit number operators embedded in layout, read-only."""
-    n = sum(embed(QUBIT_NUMBER, j, layout) for j in (0, 1))
-    n.flags.writeable = False
-    return n
+def _emission_operators(layout):
+    """The operators of the emission statistics embedded in layout, read-only.
 
-
-@functools.lru_cache(maxsize=8)
-def _emission_functionals(layout) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Per qubit i, (n_i, sigma_i+ N sigma_i-) embedded in layout, read-only.
-
-    Both are Hermitian, so Tr[A rho] = vdot(A, rho): the weight <n_i> and
-    the zero-delay numerator Tr[N sigma_i- rho sigma_i+] = <n_i> Tr[N rho_i].
+    Returns (lowers, functionals, number_sum): sigma_i- of each qubit i, the
+    pair (n_i, sigma_i+ N sigma_i-) of each qubit, and N = n_0 + n_1, with
+    n_i = sigma_i+ sigma_i-. Both of a pair are Hermitian, so
+    Tr[A rho] = vdot(A, rho): the weight <n_i> and the zero-delay numerator
+    Tr[N sigma_i- rho sigma_i+] = <n_i> Tr[N rho_i].
     """
-    out = []
-    for i in (0, 1):
-        sm = _lower_at(layout, i)
-        pair = (sm.conj().T @ sm, sm.conj().T @ _number_sum(layout) @ sm)
-        for op in pair:
-            op.flags.writeable = False
-        out.append(pair)
-    return tuple(out)
+    lowers = tuple(embed(SIGMA_MINUS, i, layout) for i in (0, 1))
+    numbers = tuple(sm.conj().T @ sm for sm in lowers)
+    number_sum = numbers[0] + numbers[1]
+    functionals = tuple((n, sm.conj().T @ number_sum @ sm) for n, sm in zip(numbers, lowers))
+    for op in (*lowers, *functionals[0], *functionals[1], number_sum):
+        op.flags.writeable = False
+    return lowers, functionals, number_sum
 
 
 def post_jump_state(rho: DensityMatrix, emitter: int) -> tuple[DensityMatrix, float]:
     """Conditional state after a photon emission from the given qubit.
 
     Returns (sigma_i- rho sigma_i+ / weight, weight) with
-    weight = Tr[sigma_i- rho sigma_i+] = <n_i>. A weight below 1e-14 means
-    the emitter is dark and raises DarkEmitterError.
+    weight = Tr[sigma_i- rho sigma_i+] = <n_i>. An emitter other than 0 or 1,
+    or one whose subsystem is not a qubit, raises ValueError. A weight below
+    1e-14 means the emitter is dark and raises DarkEmitterError.
     """
-    sm = _lower_at(rho.layout, emitter)
+    dims = rho.layout.dims
+    if emitter not in (0, 1) or dims[emitter:emitter + 1] != (2,):
+        raise ValueError(f"emitter {emitter} names no qubit of layout {dims}")
+    sm = embed(SIGMA_MINUS, emitter, rho.layout)
     unnorm = sm @ rho.matrix @ sm.conj().T
     weight = float(np.trace(unnorm).real)
     if weight < DARK_TOL:
@@ -164,10 +151,11 @@ def _emission_setup(l: Liouvillian, rho_ss: DensityMatrix):
     """Bright/dark split, bright weights, asymptote and raw zero-delay value.
 
     Every statistic is a linear functional of rho_ss, one vdot with an
-    operator cached per layout: the weight w_i = <n_i> = Tr[sigma_i+ sigma_i- rho]
-    and the numerator Tr[sigma_i+ N sigma_i- rho] = w_i Tr[N rho_i] of each
-    emitter, and the asymptote |bright| Tr[N rho]. So g2(0), the ratio of
-    sum_i numerator_i / w_i to the asymptote, builds no post-jump state.
+    operator of the layout's emission table: the weight
+    w_i = <n_i> = Tr[sigma_i+ sigma_i- rho] and the numerator
+    Tr[sigma_i+ N sigma_i- rho] = w_i Tr[N rho_i] of each emitter, and the
+    asymptote |bright| Tr[N rho]. So g2(0), the ratio of sum_i
+    numerator_i / w_i to the asymptote, builds no post-jump state.
     An emitter with w_i below DARK_TOL is dark. A bright one below
     WEIGHT_FLOOR raises FaintEmitterError, and two dark ones raise
     DarkEmitterError.
@@ -176,9 +164,10 @@ def _emission_setup(l: Liouvillian, rho_ss: DensityMatrix):
     if not residual <= 1e-8:
         raise ValueError(f"rho_ss is not a steady state of l (residual {residual:.3e})")
 
+    _, functionals, number_sum = _emission_operators(rho_ss.layout)
     rho = rho_ss.matrix
     bright, dark, weights, raw_zero = [], [], [], 0
-    for i, (number, jump_number) in enumerate(_emission_functionals(rho_ss.layout)):
+    for i, (number, jump_number) in enumerate(functionals):
         weight = float(np.vdot(number, rho).real)
         if weight < DARK_TOL:
             dark.append(i)
@@ -191,7 +180,7 @@ def _emission_setup(l: Liouvillian, rho_ss: DensityMatrix):
         raw_zero += float(np.vdot(jump_number, rho).real) / weight
     if not bright:
         raise DarkEmitterError("both emitters dark: no emission statistics exist")
-    asymptote = len(bright) * float(np.vdot(_number_sum(rho_ss.layout), rho).real)
+    asymptote = len(bright) * float(np.vdot(number_sum, rho).real)
     return tuple(bright), tuple(dark), tuple(weights), asymptote, raw_zero
 
 
@@ -225,12 +214,10 @@ def g2_trace(l: Liouvillian, rho_ss: DensityMatrix, tau_max: float,
     taus = np.linspace(0.0, tau_max, n_samples)
     dt = tau_max / (n_samples - 1)
 
-    layout = rho_ss.layout
-    post_jump_sum = 0
-    for i, weight in zip(bright, weights):
-        sm = _lower_at(layout, i)
-        post_jump_sum = post_jump_sum + sm @ rho_ss.matrix @ sm.conj().T / weight
-    raw = correlation_samples(l, _number_sum(layout), post_jump_sum, dt, n_samples)
+    lowers, _, number_sum = _emission_operators(rho_ss.layout)
+    post_jump_sum = sum(lowers[i] @ rho_ss.matrix @ lowers[i].conj().T / weight
+                        for i, weight in zip(bright, weights))
+    raw = correlation_samples(l, number_sum, post_jump_sum, dt, n_samples)
     raw[0] = raw_zero
     normalized = raw / asymptote
 

@@ -177,18 +177,11 @@ def partial_trace(rho: DensityMatrix, keep: tuple[int, ...] | list[int] | set[in
     if keep_list[0] < 0 or keep_list[-1] >= n:
         raise ValueError(f"keep indices {keep_list} out of range for {n} subsystems")
     dims = rho.layout.dims
-    # one tensor index per subsystem per side; traced subsystems get equal
-    # row/col letters so einsum contracts them
-    t = rho.matrix.reshape(dims + dims)
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    row = list(letters[:n])
-    col = list(letters[n:2 * n])
-    for k in range(n):
-        if k not in keep_list:
-            col[k] = row[k]
-    out = "".join(row[k] for k in keep_list) + "".join(col[k] for k in keep_list)
-    reduced = np.einsum("".join(row) + "".join(col) + "->" + out, t)
+    # axis k is subsystem k's row index and axis n + k its column index; a
+    # traced subsystem's column repeats its row axis, so einsum contracts it
+    cols = [n + k if k in keep_list else k for k in range(n)]
+    reduced = np.einsum(rho.matrix.reshape(dims + dims), [*range(n), *cols],
+                        keep_list + [n + k for k in keep_list])
     kept_dims = tuple(dims[k] for k in keep_list)
-    d_red = int(np.prod(kept_dims))
-    reduced = reduced.reshape(d_red, d_red)
-    return DensityMatrix(SpaceLayout(kept_dims), hermitize(reduced))
+    d_red = math.prod(kept_dims)
+    return DensityMatrix(SpaceLayout(kept_dims), hermitize(reduced.reshape(d_red, d_red)))

@@ -33,7 +33,7 @@ from .liouvillian import NumericalError, steady_state
 from .models import _FLOAT_FIELDS, FullModelParams, _affine_generator, full_model_liouvillian
 from .observables import (
     DEFAULT_N_SAMPLES,
-    _emission_functionals,
+    _emission_operators,
     concurrence,
     default_tau_max,
     extract_timescale,
@@ -86,10 +86,11 @@ class GridSpec:
         return (self.axis1,) if self.axis2 is None else (self.axis1, self.axis2)
 
     def axis_values(self, which: int) -> np.ndarray:
-        axis = self.axis1 if which == 0 else self.axis2
-        if axis is None:
-            raise ValueError("grid has no second axis")
-        return np.linspace(axis[1], axis[2], axis[3])
+        """Points of axis 0 (axis1) or axis 1 (axis2); any other index raises ValueError."""
+        if not 0 <= which < len(self.axes):
+            raise ValueError(f"grid has no axis {which}; it has {len(self.axes)}")
+        _, lo, hi, n = self.axes[which]
+        return np.linspace(lo, hi, n)
 
     def cells(self) -> list[FullModelParams]:
         """Cell parameter sets in row-major (axis1 outer, axis2 inner) order."""
@@ -156,10 +157,10 @@ def _build_cell_tables(base: FullModelParams) -> None:
 
     n_max and relaxation_operator are not sweepable, so all cells share the
     affine generator table (whose build also caches the layout's Hermitian
-    index) and the emission operators of g2(0) and g2(tau).
+    index) and the layout's emission-operator table of g2(0) and g2(tau).
     """
     _affine_generator(base.n_max, base.relaxation_operator)
-    _emission_functionals(qubit_pair_boson_layout(base.n_max))
+    _emission_operators(qubit_pair_boson_layout(base.n_max))
 
 
 def run_sweep(spec: GridSpec, workers: int = 1) -> SweepResult:

@@ -3,12 +3,13 @@
 Every check is seeded and runs in at most a few seconds; together they
 exercise the operator algebra, the master-equation assembly, steady-state
 contracts, the concurrence oracles, the closed-form population formulas,
-and the correlation pipeline. The model checks run on the generator every
-command uses, full_model_liouvillian's parameter-affine table; the
-steady-state check holds that table to the direct assembly
-build_liouvillian(*build_full_model(p)), the one place the reference path
-runs. Each check reports ok/FAIL; any failure makes the battery fail as a
-whole.
+and the correlation pipeline, whose g2(0) and g2(tau) samples are held to
+post-jump states propagated one delay at a time. The model checks run on
+the generator every command uses, full_model_liouvillian's
+parameter-affine table; the steady-state check holds that table to the
+direct assembly build_liouvillian(*build_full_model(p)), the one place the
+reference path runs. Each check reports ok/FAIL; any failure makes the
+battery fail as a whole.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
+import scipy.linalg
 
 from .liouvillian import (
     JumpTerm,
@@ -44,8 +46,10 @@ from .models import (
 )
 from .observables import concurrence, g2_trace, g2_zero, default_tau_max, post_jump_state
 from .operators import (
+    QUBIT_NUMBER,
     TWO_QUBIT_LAYOUT,
     DensityMatrix,
+    embed,
     partial_trace,
     qubit_pair_boson_layout,
 )
@@ -211,13 +215,24 @@ def _check_dicke_consistency(rng):
 
 
 def _check_correlations(rng):
+    # oracles that share neither g2_trace's zero-delay set-up nor its
+    # propagator: the conditional states of post_jump_state, each moved to
+    # a delay by its own exponential of the complex superoperator
     p = FullModelParams()
     liou = full_model_liouvillian(p)
     rho_ss = steady_state(liou)
     trace = g2_trace(liou, rho_ss, default_tau_max(p), 1024)
-    direct = g2_zero(liou, rho_ss)
-    assert abs(direct - trace.g2_zero) < 1e-12, "g2_zero disagrees with trace at tau=0"
-    assert trace.normalized.min() > -1e-9
+    number_sum = sum(embed(QUBIT_NUMBER, j, liou.layout) for j in (0, 1))
+    states = [post_jump_state(rho_ss, i)[0] for i in trace.bright_emitters]
+    want = sum(s.expect(number_sum) for s in states) / (
+        len(states) * rho_ss.expect(number_sum))
+    assert abs(trace.g2_zero - want) <= 1e-12 * abs(want), (
+        f"g2(0) {trace.g2_zero} vs {want} from the post-jump states")
+    for k in (1, 31, 32, 33, 1023):  # both sides of the 32-sample block edge
+        prop = scipy.linalg.expm(liou.superop * trace.taus[k])
+        want = sum(np.trace(number_sum @ unvec(prop @ vec(s.matrix))).real for s in states)
+        assert abs(trace.raw[k] - want) <= 1e-10 * abs(want), (
+            f"g2 sample {k}: {trace.raw[k]} vs {want} by direct propagation")
     state, weight = post_jump_state(rho_ss, 0)
     want = rho_ss.expect(np.kron(np.diag([0.0, 1.0]), np.eye(liou.layout.total_dim // 2))).real
     assert abs(weight - want) < 1e-12, "post-jump weight differs from <n_0>"

@@ -1,10 +1,13 @@
 """End-to-end tests for the command-line interface and config parsing."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ddesim.observables
 from ddesim import __version__
 from ddesim.cli import main
 from ddesim.config import _KEY_TYPES, ConfigError, parse_config
@@ -342,6 +345,19 @@ def test_steady_state_check_compares_every_table_column(monkeypatch, name):
         dict(CHECKS)["steady-state contract"](np.random.default_rng(SEED))
 
 
+@pytest.mark.parametrize("distortion", [
+    lambda raw: raw * 1.001,
+    lambda raw: raw * (1 + 0.02 * np.sin(np.arange(raw.size))),
+], ids=["scaled", "rippled"])
+def test_validation_fails_on_distorted_correlation_samples(monkeypatch, distortion):
+    original = ddesim.observables.correlation_samples
+    monkeypatch.setattr("ddesim.observables.correlation_samples",
+                        lambda *args: distortion(original(*args)))
+    lines = []
+    assert run_validation(emit=lines.append) >= 1
+    assert any(line.startswith("FAIL - correlation pipeline") for line in lines)
+
+
 def test_exchange_check_fails_on_an_asymmetric_table(monkeypatch):
     # with eta0's column 0.1% off the model is no longer symmetric under
     # the qubit swap; concurrence then moves by about 1e-2, g2(0) by 4e-3
@@ -369,3 +385,14 @@ def test_default_output_name(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "steady.csv").exists()
     assert (tmp_path / "steady.csv.meta.json").exists()
     assert "wrote steady.csv and steady.csv.meta.json" in capsys.readouterr().out
+
+
+def test_benchmark_layer_functions_resolve():
+    # the benchmark's tracer wraps these names from outside the package
+    path = Path(__file__).resolve().parents[1] / "mapbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("mapbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module, name in (*tracing.LAYER_FUNCTIONS, ("sweep", "_evaluate_cell")):
+        assert callable(getattr(importlib.import_module(f"ddesim.{module}"), name, None)), (
+            f"ddesim.{module}.{name}")

@@ -216,6 +216,21 @@ def test_evolve_time_grid_validation():
         evolve(liou, rho0, [0.0, 1.0, 3.0])
 
 
+@pytest.mark.parametrize("leak", [1e-8, 1e-10])
+def test_evolve_rejects_trace_drift(leak):
+    # L_H - leak * I scales every coordinate, so the trace decays as
+    # exp(-leak t): at t = 1 the drift is about leak, against the 1e-9 bound
+    liou = build_liouvillian(*build_full_model(FullModelParams()))
+    leaky = Liouvillian(liou.layout, liou.generator - leak * np.eye(liou.dim ** 2))
+    rho0 = DensityMatrix.pure(liou.layout, np.eye(liou.dim)[0])
+    times = np.linspace(0.0, 1.0, 11)
+    if leak > 1e-9:
+        with pytest.raises(NumericalError, match="trace drift"):
+            evolve(leaky, rho0, times)
+    else:
+        assert evolve(leaky, rho0, times).max_trace_drift == pytest.approx(leak, rel=1e-3)
+
+
 def test_resonance_fluorescence_steady_state():
     # driven damped qubit: rho_ee = eta^2 / (delta^2 + gamma^2/4 + 2 eta^2)
     rng = np.random.default_rng(37)

@@ -123,6 +123,17 @@ def test_post_jump_state_dark_ground():
         post_jump_state(ground_state(QB), 0)
 
 
+def test_post_jump_state_rejects_an_emitter_that_names_no_qubit():
+    excited = DensityMatrix.pure(SpaceLayout((2, 3)), np.eye(6)[3])
+    state, weight = post_jump_state(excited, 0)  # a (2, n) layout has emitter 0
+    assert weight == pytest.approx(1.0, abs=1e-14)
+    assert state.matrix[0, 0].real == pytest.approx(1.0, abs=1e-14)
+    single = DensityMatrix.pure(SpaceLayout((2,)), [0.0, 1.0])
+    for rho, emitter in ((single, 1), (excited, 1), (single, -1), (excited, 2)):
+        with pytest.raises(ValueError, match="names no qubit"):
+            post_jump_state(rho, emitter)
+
+
 def test_post_jump_weight_is_excited_population():
     rng = np.random.default_rng(61)
     layout = SpaceLayout((2, 2, 3))

@@ -152,6 +152,17 @@ def test_partial_trace_against_brute_force():
         assert reduced.layout.dims == tuple(dims[i] for i in sorted(keep))
 
 
+def test_partial_trace_of_more_than_thirteen_subsystems():
+    # 14 one-level subsystems between a qubit and a qutrit: 16 subsystems,
+    # 32 tensor axes, more than one letter each of a 26-letter alphabet
+    rng = np.random.default_rng(23)
+    dims = (2,) + (1,) * 14 + (3,)
+    rho = DensityMatrix(SpaceLayout(dims), random_density(rng, 6))
+    want = brute_force_partial_trace(rho.matrix, (2, 3), (0,))
+    assert np.allclose(partial_trace(rho, (0,)).matrix, want, atol=1e-12)
+    assert np.allclose(partial_trace(rho, (0, 15)).matrix, rho.matrix, atol=1e-12)
+
+
 def test_partial_trace_product_state_factorizes():
     rng = np.random.default_rng(13)
     layout = SpaceLayout((2, 3))

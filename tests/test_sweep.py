@@ -69,6 +69,13 @@ def test_grid_cells_row_major_order():
         GridSpec(axis1=("delta0", 0.0, 1.0, 2)).axis_values(1)
 
 
+def test_axis_values_rejects_an_index_that_names_no_axis():
+    spec = GridSpec(axis1=("delta0", 0.0, 1.0, 2), axis2=("delta1", 0.0, 1.0, 3))
+    for which in (2, 7, -1):
+        with pytest.raises(ValueError, match=f"grid has no axis {which}"):
+            spec.axis_values(which)
+
+
 def test_failed_cells_are_flagged_not_fabricated():
     # gamma_r0 = 0 with no other qubit-0 dissipation leaves a driven
     # undamped sector and no unique steady state; the next point is fine
