@@ -35,7 +35,7 @@ from .models import (
     ground_state,
     rabi_frequency,
 )
-from .observables import concurrence, default_tau_max, g2_trace
+from .observables import DEFAULT_N_SAMPLES, concurrence, default_tau_max, g2_trace
 from .operators import QUBIT_NUMBER, embed, partial_trace
 from .sweep import GridSpec, run_sweep
 from .validate import run_validation
@@ -44,6 +44,8 @@ _MAP_DEFAULT_AXES = {
     "concurrence-map": (("delta0", -0.05, 0.05, 41), ("delta1", -0.05, 0.05, 41)),
     "timescale-map": (("eta0", 0.0, 0.1, 41), ("eta1", 0.0, 0.1, 41)),
 }
+# map cells take their delay grid from each cell's parameters, never from these
+_MAP_UNUSED_SETTINGS = ("tau_max", "n_samples")
 
 
 def _fmt(value) -> str:
@@ -51,8 +53,6 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, str):
         return value
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return f"{float(value):.12g}"
@@ -69,12 +69,13 @@ def _write_csv(path: str, comments: list[str], header: list[str], rows) -> None:
 
 def _write_meta(csv_path: str, command: str, cfg: RunConfig, wall_clock: float,
                 extra: dict) -> None:
+    unused = ("params", *_MAP_UNUSED_SETTINGS) if command in _MAP_DEFAULT_AXES else ("params",)
     meta = {
         "command": command,
         "version": __version__,
         "params": dataclasses.asdict(cfg.params),
         "n_max": cfg.params.n_max,
-        "settings": {k: v for k, v in dataclasses.asdict(cfg).items() if k != "params"},
+        "settings": {k: v for k, v in dataclasses.asdict(cfg).items() if k not in unused},
         "wall_clock_seconds": wall_clock,
         "csv": csv_path,
     }
@@ -250,7 +251,8 @@ def cmd_timescale_map(cfg: RunConfig):
     unit_scale = np.pi if cfg.pi_units else 1.0
     unit_name = "T = 1/(pi*gamma_a)" if cfg.pi_units else "T = 1/gamma_a"
     comments.append(f"period_display unit: {unit_name}")
-    extra["display_unit"] = unit_name
+    extra.update(display_unit=unit_name, n_samples=DEFAULT_N_SAMPLES,
+                 tau_max="default_tau_max of each cell")
 
     def periods(cell):
         if cell.period_native is None:

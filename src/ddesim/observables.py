@@ -4,9 +4,9 @@ Wootters concurrence of two-qubit states, quantum-jump photon correlations
 g2(tau) built from post-emission conditional states and sampled on a
 uniform delay grid by liouvillian.correlation_samples (all propagation
 lives in liouvillian), and FFT extraction of the anti-bunching timescale.
-g2(0) is a ratio of linear functionals of the steady state, each one vdot
-with an operator of the emission table cached per layout, so it builds no
-conditional state; post_jump_state, which does, is its reference.
+g2(0), defined in g2_zero, is a ratio of vdots of the steady state with
+cached operators; post_jump_state, which builds the conditional states, is
+its reference.
 Times are in units of the inverse boson decay rate; absolute seconds enter
 only through the configured rate in Hz.
 """
@@ -86,21 +86,18 @@ def concurrence(rho2q: DensityMatrix) -> ConcurrenceResult:
 
 @functools.lru_cache(maxsize=8)
 def _emission_operators(layout):
-    """The operators of the emission statistics embedded in layout, read-only.
+    """The emission-statistics operators embedded in layout, read-only.
 
-    Returns (lowers, functionals, number_sum): sigma_i- of each qubit i, the
-    pair (n_i, sigma_i+ N sigma_i-) of each qubit, and N = n_0 + n_1, with
-    n_i = sigma_i+ sigma_i-. Both of a pair are Hermitian, so
-    Tr[A rho] = vdot(A, rho): the weight <n_i> and the zero-delay numerator
-    Tr[N sigma_i- rho sigma_i+] = <n_i> Tr[N rho_i].
+    (lowers, numbers, coincidence, number_sum): sigma_i- and n_i of each
+    qubit i, n_0 n_1 = sigma_i+ N sigma_i- (either i) and N = n_0 + n_1.
     """
     lowers = tuple(embed(SIGMA_MINUS, i, layout) for i in (0, 1))
     numbers = tuple(sm.conj().T @ sm for sm in lowers)
+    coincidence = numbers[0] @ numbers[1]
     number_sum = numbers[0] + numbers[1]
-    functionals = tuple((n, sm.conj().T @ number_sum @ sm) for n, sm in zip(numbers, lowers))
-    for op in (*lowers, *functionals[0], *functionals[1], number_sum):
+    for op in (*lowers, *numbers, coincidence, number_sum):
         op.flags.writeable = False
-    return lowers, functionals, number_sum
+    return lowers, numbers, coincidence, number_sum
 
 
 def post_jump_state(rho: DensityMatrix, emitter: int) -> tuple[DensityMatrix, float]:
@@ -129,7 +126,7 @@ class CorrelationTrace:
     raw[k] = sum_ij Tr[n_j rho_i(tau_k)] over bright emitters i and both
     number operators j; normalized = raw / asymptote with
     asymptote = sum_ij Tr[n_j rho_ss], so normalized -> 1 at long delay.
-    g2_zero is the normalized value at tau = 0.
+    g2_zero is the normalized value at tau = 0, g2(0) as g2_zero defines it.
     """
 
     taus: np.ndarray
@@ -148,26 +145,21 @@ class CorrelationTrace:
 
 
 def _emission_setup(l: Liouvillian, rho_ss: DensityMatrix):
-    """Bright/dark split, bright weights, asymptote and raw zero-delay value.
-
-    Every statistic is a linear functional of rho_ss, one vdot with an
-    operator of the layout's emission table: the weight
-    w_i = <n_i> = Tr[sigma_i+ sigma_i- rho] and the numerator
-    Tr[sigma_i+ N sigma_i- rho] = w_i Tr[N rho_i] of each emitter, and the
-    asymptote |bright| Tr[N rho]. So g2(0), the ratio of sum_i
-    numerator_i / w_i to the asymptote, builds no post-jump state.
-    An emitter with w_i below DARK_TOL is dark. A bright one below
-    WEIGHT_FLOOR raises FaintEmitterError, and two dark ones raise
-    DarkEmitterError.
+    """Bright/dark split, bright weights w_i = <n_i>, asymptote |bright| <N>
+    and raw zero-delay value, the sum of <n_0 n_1> / w_i over bright i, from
+    vdots with the Hermitian operators of the emission table. w_i below
+    DARK_TOL is dark; a bright w_i below WEIGHT_FLOOR raises
+    FaintEmitterError, and two dark emitters raise DarkEmitterError.
     """
     residual = steady_state_residual(l, rho_ss)
     if not residual <= 1e-8:
         raise ValueError(f"rho_ss is not a steady state of l (residual {residual:.3e})")
 
-    _, functionals, number_sum = _emission_operators(rho_ss.layout)
+    _, numbers, coincidence, number_sum = _emission_operators(rho_ss.layout)
     rho = rho_ss.matrix
+    joint = float(np.vdot(coincidence, rho).real)
     bright, dark, weights, raw_zero = [], [], [], 0
-    for i, (number, jump_number) in enumerate(functionals):
+    for i, number in enumerate(numbers):
         weight = float(np.vdot(number, rho).real)
         if weight < DARK_TOL:
             dark.append(i)
@@ -177,7 +169,7 @@ def _emission_setup(l: Liouvillian, rho_ss: DensityMatrix):
                 f"emitter {i} weight {weight:.3e} is below the resolved floor {WEIGHT_FLOOR}")
         bright.append(i)
         weights.append(weight)
-        raw_zero += float(np.vdot(jump_number, rho).real) / weight
+        raw_zero += joint / weight
     if not bright:
         raise DarkEmitterError("both emitters dark: no emission statistics exist")
     asymptote = len(bright) * float(np.vdot(number_sum, rho).real)
@@ -185,7 +177,14 @@ def _emission_setup(l: Liouvillian, rho_ss: DensityMatrix):
 
 
 def g2_zero(l: Liouvillian, rho_ss: DensityMatrix) -> float:
-    """Normalized zero-delay correlation, computed without propagation."""
+    """Zero-delay correlation g2(0), computed without propagation.
+
+    The equal-weight average of Tr[N rho_i] over the bright post-jump states
+    rho_i (post_jump_state), divided by <N>. With both emitters bright it is
+    <n_0 n_1> / (2 <n_0> <n_1>), half the cross-correlation; with only i
+    bright, <n_0 n_1> / (<n_i> <N>). It is not the summed-intensity HBT
+    value 2 <n_0 n_1> / <N>^2, which is g2(0) times 4 <n_0> <n_1> / <N>^2.
+    """
     _, _, _, asymptote, raw_zero = _emission_setup(l, rho_ss)
     return raw_zero / asymptote
 
@@ -214,7 +213,7 @@ def g2_trace(l: Liouvillian, rho_ss: DensityMatrix, tau_max: float,
     taus = np.linspace(0.0, tau_max, n_samples)
     dt = tau_max / (n_samples - 1)
 
-    lowers, _, number_sum = _emission_operators(rho_ss.layout)
+    lowers, _, _, number_sum = _emission_operators(rho_ss.layout)
     post_jump_sum = sum(lowers[i] @ rho_ss.matrix @ lowers[i].conj().T / weight
                         for i, weight in zip(bright, weights))
     raw = correlation_samples(l, number_sum, post_jump_sum, dt, n_samples)

@@ -16,6 +16,7 @@ safe to share across worker processes.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,8 +55,10 @@ class SpaceLayout:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.dims or any(int(d) < 1 for d in self.dims):
-            raise ValueError(f"subsystem dimensions must be positive, got {self.dims}")
+        # int first: it skips the slower numbers.Integral check
+        if not self.dims or any(not isinstance(d, (int, numbers.Integral)) or d < 1
+                                for d in self.dims):
+            raise ValueError(f"subsystem dimensions must be positive integers, got {self.dims}")
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
 
     @property
@@ -168,9 +171,12 @@ def partial_trace(rho: DensityMatrix, keep: tuple[int, ...] | list[int] | set[in
     rho : DensityMatrix
         State on the full composite space.
     keep : collection of subsystem indices
-        Nonempty set of indices into rho.layout.dims.
+        Nonempty set of integer indices into rho.layout.dims.
     """
-    keep_list = sorted(set(int(k) for k in keep))
+    keep_set = set(keep)
+    if not all(isinstance(k, (int, numbers.Integral)) for k in keep_set):
+        raise ValueError(f"keep indices must be integers, got {keep}")
+    keep_list = sorted(int(k) for k in keep_set)
     n = rho.layout.n_subsystems
     if not keep_list:
         raise ValueError("keep must be nonempty")

@@ -247,6 +247,31 @@ def test_timescale_map_pi_units(tmp_path):
     assert np.allclose(column(h1, r1, "period_seconds"), np.array(native1) / 50e12)
 
 
+def test_timescale_map_meta_lists_the_grid_its_cells_used(tmp_path):
+    # every cell uses default_tau_max(cell) and 4096 samples, so the
+    # configured grid changes no byte and must not be recorded as used
+    base = ["timescale-map", "--workers", "1", "--set", "axis1=eta0",
+            "--set", "axis1_min=0.03", "--set", "axis1_max=0.05", "--set", "axis1_points=3"]
+    plain, configured = tmp_path / "plain.csv", tmp_path / "configured.csv"
+    assert main(base + ["--out", str(plain)]) == 0
+    assert main(base + ["--out", str(configured),
+                        "--set", "n_samples=256", "--set", "tau_max=100"]) == 0
+    assert plain.read_bytes() == configured.read_bytes()
+    meta = json.loads((tmp_path / "configured.csv.meta.json").read_text())
+    assert "n_samples" not in meta["settings"] and "tau_max" not in meta["settings"]
+    assert meta["n_samples"] == 4096
+    assert "default_tau_max" in meta["tau_max"]
+
+    def leaves(node):
+        if isinstance(node, dict):
+            return [v for child in node.values() for v in leaves(child)]
+        if isinstance(node, list):
+            return [v for child in node for v in leaves(child)]
+        return [node]
+
+    assert not {256, 100} & {v for v in leaves(meta) if isinstance(v, (int, float))}
+
+
 def test_degenerate_parameters_exit_numerical(tmp_path, capsys):
     code = main(["steady", "--out", str(tmp_path / "x.csv"),
                  "--set", "g0=0", "--set", "gamma_r0=0", "--set", "gamma_d0=0"])

@@ -391,10 +391,10 @@ def test_cached_tables_are_read_only():
     p = FullModelParams(n_max=3, relaxation_operator="raise")
     liou = full_model_liouvillian(p)
     layout, a, qubits = _full_model_operators(p.n_max)
-    lowers, functionals, number_sum = _emission_operators(layout)
+    lowers, numbers, coincidence, number_sum = _emission_operators(layout)
     cached = [liou.generator, *_affine_generator(p.n_max, p.relaxation_operator),
               a, *qubits[0], *qubits[1], *_hermitian_index(layout.total_dim),
-              *lowers, *functionals[0], *functionals[1], number_sum]
+              *lowers, *numbers, coincidence, number_sum]
     assert not any(arr.flags.writeable for arr in cached)
     index, coef = _affine_generator(p.n_max, p.relaxation_operator)
     assert coef.shape == (index.size, 13)

@@ -237,6 +237,8 @@ def test_g2_trace_rejects_non_steady_input():
     liou = build_liouvillian(*build_full_model(FullModelParams()))
     with pytest.raises(ValueError, match="steady"):
         g2_trace(liou, ground_state(liou.layout), 1000.0)
+    with pytest.raises(ValueError, match="steady"):
+        g2_zero(liou, ground_state(liou.layout))
 
 
 def test_g2_trace_grid_validation():

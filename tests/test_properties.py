@@ -4,13 +4,14 @@ import dataclasses
 
 import numpy as np
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ddesim import (
     DarkEmitterError,
     DensityMatrix,
     FullModelParams,
+    SpaceLayout,
     apply_liouvillian,
     build_full_model,
     build_liouvillian,
@@ -23,12 +24,13 @@ from ddesim import (
     g2_zero,
     ground_state,
     partial_trace,
+    qubit_pair_boson_layout,
     post_jump_state,
     steady_state,
 )
 from ddesim.liouvillian import _hermitian_coords, _hermitian_vec, _residual, unvec, vec
-from ddesim.observables import _emission_setup
-from ddesim.operators import QUBIT_NUMBER
+from ddesim.observables import _emission_operators, _emission_setup
+from ddesim.operators import QUBIT_NUMBER, SIGMA_MINUS, SIGMA_PLUS
 from test_liouvillian import kron_assembly
 
 PROPERTY_SETTINGS = settings(max_examples=10, deadline=None, derandomize=True,
@@ -142,6 +144,27 @@ def test_g2_zero_matches_post_jump_states_with_a_dark_emitter():
     p = FullModelParams(eta1=0.0, g1=0.0)
     assert _emission_setup(*solved(p))[:2] == ((0,), (1,))
     assert_g2_zero_matches_post_jump_states(p)
+
+
+@PROPERTY_SETTINGS
+@given(params_strategy)
+@example(FullModelParams(eta1=0.0, g1=0.0))
+def test_g2_zero_is_the_closed_form_of_the_qubit_populations(p):
+    # g2_zero's stated definition: <n0 n1> / (2 <n0> <n1>) with both
+    # emitters bright, <n0 n1> / (<n_i> <N>) with only emitter i bright
+    liou, rho_ss = solved(p)
+    bright = _emission_setup(liou, rho_ss)[0]
+    _, p_ge, p_eg, p_ee = np.diag(partial_trace(rho_ss, (0, 1)).matrix).real
+    n = (p_eg + p_ee, p_ge + p_ee)
+    want = p_ee / (2 * n[0] * n[1]) if len(bright) == 2 else p_ee / (n[bright[0]] * sum(n))
+    assert abs(g2_zero(liou, rho_ss) - want) <= 1e-13 * abs(want)
+    # the one cached coincidence operator is each emitter's sigma_i+ N sigma_i-
+    for layout in (SpaceLayout((2, 2)), *(qubit_pair_boson_layout(m) for m in (1, 2, 3))):
+        number_sum = sum(embed(QUBIT_NUMBER, j, layout) for j in (0, 1))
+        coincidence = _emission_operators(layout)[2]
+        for i in (0, 1):
+            jump = embed(SIGMA_PLUS, i, layout) @ number_sum @ embed(SIGMA_MINUS, i, layout)
+            assert np.array_equal(jump, coincidence)
 
 
 @PROPERTY_SETTINGS
