@@ -44,8 +44,18 @@ _MAP_DEFAULT_AXES = {
     "concurrence-map": (("delta0", -0.05, 0.05, 41), ("delta1", -0.05, 0.05, 41)),
     "timescale-map": (("eta0", 0.0, 0.1, 41), ("eta1", 0.0, 0.1, 41)),
 }
-# map cells take their delay grid from each cell's parameters, never from these
-_MAP_UNUSED_SETTINGS = ("tau_max", "n_samples")
+_AXIS_KEYS = tuple(f"axis{k}{suffix}" for k in (1, 2)
+                   for suffix in ("", "_min", "_max", "_points"))
+# the run keys each command reads, besides out: meta.json `settings` lists
+# only these (map cells take their delay grid from each cell's parameters,
+# never from tau_max and n_samples)
+_SETTINGS_READ = {
+    "populations": ("t_max", "n_times"),
+    "steady": (),
+    "g2": ("tau_max", "n_samples"),
+    "concurrence-map": (*_AXIS_KEYS, "workers"),
+    "timescale-map": (*_AXIS_KEYS, "workers", "pi_units"),
+}
 
 
 def _fmt(value) -> str:
@@ -69,13 +79,12 @@ def _write_csv(path: str, comments: list[str], header: list[str], rows) -> None:
 
 def _write_meta(csv_path: str, command: str, cfg: RunConfig, wall_clock: float,
                 extra: dict) -> None:
-    unused = ("params", *_MAP_UNUSED_SETTINGS) if command in _MAP_DEFAULT_AXES else ("params",)
     meta = {
         "command": command,
         "version": __version__,
         "params": dataclasses.asdict(cfg.params),
         "n_max": cfg.params.n_max,
-        "settings": {k: v for k, v in dataclasses.asdict(cfg).items() if k not in unused},
+        "settings": {k: getattr(cfg, k) for k in (*_SETTINGS_READ[command], "out")},
         "wall_clock_seconds": wall_clock,
         "csv": csv_path,
     }

@@ -16,8 +16,23 @@ B[x, u] conj(A[y, v]) of a term X -> B X A+ lands on at most four entries of
 L_H, and all of them are summed into a dense array by one scatter. That
 scatter, taken before its sum, is also what models.full_model_liouvillian
 tabulates once per model structure, so that a parameter map evaluates each
-cell's L_H as one linear combination. The steady state is one real LU solve
-of L_H with the trace condition substituted for its first row.
+cell's L_H as one linear combination.
+
+The steady state is one real LU solve of L_H with the trace condition
+substituted for the row of coordinate 0 (rho[0, 0]). Sorted by the key
+(n_i + n_j, q_i + q_j, n_i - n_j) of their entry (i, j), where n is the
+boson level and q the qubit excitations, the coordinates make L_H a band
+matrix: each term of the model moves n_i + n_j by at most 2. The full
+model has kl = 94-98 subdiagonals and ku = 176 superdiagonals at n_max 5,
+out of n = 576; the band grows linearly in n_max, n quadratically. The
+dense LU (dgetrf, about 2 n^3 / 3 flops) is kept where a banded one
+(dgbtrf, about 2 n kl (kl + ku)) would not save at least 12 Mflop: every
+generator with n <= 262 stays dense, which keeps the full model dense up
+to n_max 3 and banded from n_max 4. In the banded solve the row of
+coordinate 0, the first in that order, holds only the in-band part of the
+trace row (the populations of the lowest boson levels): the kernel
+direction is the same, and the full trace normalizes the solution
+afterwards.
 
 Propagation works on the coordinates and lives only here: evolve samples
 states and correlation_samples samples one expectation value. On a uniform
@@ -31,11 +46,13 @@ conditioning.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dgecon, dgetrf, dgetrs, dlange
+from scipy.linalg.lapack import dgbcon, dgbtrf, dgbtrs, dgecon, dgetrf, dgetrs, dlangb, dlange
 
 from .operators import (
     EIG_TOL,
@@ -54,6 +71,9 @@ RESIDUAL_TOL = 1e-10
 # sectors (~1e-20)
 RCOND_TOL = 1e-11
 TRACE_DRIFT_TOL = 1e-9
+# flops a banded steady-state LU must save over the dense one (_band_plan);
+# above the whole dense LU at n = 256 (11.2 Mflop)
+BAND_MIN_SAVING = 12e6
 # largest deviation of a time step from the mean step, relative to it, that
 # still counts as a uniform grid (np.linspace rounds at about 1e-13)
 UNIFORM_GRID_RTOL = 1e-9
@@ -400,12 +420,16 @@ def correlation_samples(l: Liouvillian, observable: np.ndarray, x0: np.ndarray,
 def steady_state(l: Liouvillian) -> DensityMatrix:
     """Unique fixed point of the generator.
 
-    One real LU solve of L_H with its first row replaced by the trace
-    condition Tr(rho) = 1, which is the sum of the diagonal coordinates;
-    the solution is trace-normalized and is Hermitian by construction. The
-    reciprocal condition number of the same LU factor decides whether the
-    kernel is unique. The one eigendecomposition is the positivity check of
-    the DensityMatrix construction.
+    One real LU solve of L_H bordered by the trace condition, the sum of
+    the diagonal coordinates, in place of the row of coordinate 0. The
+    solution is trace-normalized and is Hermitian by construction. The LU
+    is dense (dgetrf) unless the generator's band in the boson-number order
+    of the coordinates makes a banded LU (dgbtrf) pay, as _band_of decides
+    from its size and nonzero pattern; the full model is dense up to
+    n_max 3 and banded from n_max 4 (module docstring). The reciprocal
+    condition number from the same LU factor decides whether the kernel is
+    unique. The one eigendecomposition is the positivity check of the
+    DensityMatrix construction.
 
     Raises
     ------
@@ -416,22 +440,7 @@ def steady_state(l: Liouvillian) -> DensityMatrix:
         If the residual is not below 1e-10 or the state has an eigenvalue
         below -1e-9.
     """
-    d = l.dim
-    a = np.array(l.generator, order="F")
-    a[0] = 0.0
-    a[0, :d] = 1.0
-    anorm = dlange("1", a)
-    lu, piv, info = dgetrf(a, overwrite_a=True)
-    rcond = dgecon(lu, anorm)[0] if info == 0 else 0.0
-    if rcond < RCOND_TOL:
-        raise DegenerateSteadyStateError(
-            f"Liouvillian kernel is degenerate (reciprocal condition {rcond:.3e} of "
-            f"the trace-bordered generator is below {RCOND_TOL:.0e}); no unique "
-            "steady state. This signals a decoupled-sector parameter choice.")
-    b = np.zeros(d * d)
-    b[0] = 1.0
-    c = dgetrs(lu, piv, b)[0]
-    c = c / c[:d].sum()
+    c = _bordered_kernel(l.generator, _band_of(l))
     res = _residual(l, c)
     if not res < RESIDUAL_TOL:
         raise NumericalError(
@@ -441,6 +450,138 @@ def steady_state(l: Liouvillian) -> DensityMatrix:
     except NegativeEigenvalueError as exc:
         raise NumericalError(f"steady state has negative eigenvalue {exc.min_eig:.3e} "
                              f"below -{EIG_TOL:.0e}") from None
+
+
+class _Band(NamedTuple):
+    """The band of one nonzero pattern of L_H and its gather plan (see _band_plan)."""
+
+    kl: int
+    ku: int
+    pays: bool
+    order: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    border: np.ndarray
+
+
+@functools.lru_cache(maxsize=16)
+def _coordinate_order(dims: tuple[int, ...]) -> np.ndarray:
+    """The real coordinates sorted by (n_i + n_j, q_i + q_j, n_i - n_j), read-only.
+
+    A coordinate belongs to the entry (i, j), i <= j, of rho; n is the
+    index of the last subsystem (the boson) and q the sum of the others
+    (the qubit excitations). The sort is stable, so coordinate 0, whose key
+    is all zeros, comes first.
+    """
+    d = math.prod(dims)
+    digits = np.array(np.unravel_index(np.arange(d), dims))
+    n, q = digits[-1], digits[:-1].sum(axis=0)
+    i, j = np.triu_indices(d, 1)
+    i, j = np.concatenate((np.arange(d), i, i)), np.concatenate((np.arange(d), j, j))
+    order = np.lexsort((n[i] - n[j], q[i] + q[j], n[i] + n[j]))
+    order.flags.writeable = False
+    return order
+
+
+@functools.lru_cache(maxsize=8)
+def _band_plan(dims: tuple[int, ...], pattern: bytes) -> _Band:
+    """The band of a generator in the coordinate order, and whether a banded LU pays.
+
+    pattern is np.packbits(L_H != 0) of an L_H on a layout of dimensions
+    dims. In the order of _coordinate_order, L_H has kl subdiagonals and ku
+    superdiagonals. A banded LU costs about 2 n kl (kl + ku) flops against
+    2 n^3 / 3 for the dense one; it pays where it saves at least
+    BAND_MIN_SAVING flops with its own count weighted 1.5 (dgbtrf ran at
+    0.55-0.8x the flop rate of dgetrf from n = 400 to 1936 at one BLAS
+    thread). The plan holds the flat indices src of the in-band entries of
+    L_H outside the row of coordinate 0, their positions dst in the
+    Fortran-ordered (2 kl + ku + 1) x n band storage of dgbtrf, and the
+    positions of the ones of the trace border within the band (the
+    diagonal coordinates up to ku). Only the pattern is read, so NaN
+    entries count as nonzero.
+    """
+    order = _coordinate_order(dims)
+    n = order.size
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    src = np.flatnonzero(np.unpackbits(np.frombuffer(pattern, dtype=np.uint8), count=n * n))
+    row, col = rank[src // n], rank[src % n]
+    kl = int(np.max(row - col, initial=0))
+    ku = int(np.max(col - row, initial=0))
+    pays = 2 * n ** 3 / 3 - 3 * n * kl * (kl + ku) >= BAND_MIN_SAVING
+    ldab = 2 * kl + ku + 1
+    live = row != 0
+    diag = rank[:math.prod(dims)]
+    diag = diag[diag <= ku]
+    plan = _Band(kl, ku, pays, order, src[live], col[live] * ldab + kl + ku + row[live] - col[live],
+                 diag * ldab + kl + ku - diag)
+    for a in plan[3:]:
+        a.flags.writeable = False
+    return plan
+
+
+def _band_of(l: Liouvillian) -> _Band | None:
+    """The band plan steady_state factors the generator of l with, or None for a dense LU.
+
+    Plans are cached per nonzero pattern. A generator too small for a
+    banded LU to save BAND_MIN_SAVING flops even without off-diagonals
+    (n <= 262) is not inspected.
+    """
+    n = l.generator.shape[0]
+    if 2 * n ** 3 / 3 < BAND_MIN_SAVING:
+        return None
+    band = _band_plan(l.layout.dims, np.packbits(l.generator != 0).tobytes())
+    return band if band.pays else None
+
+
+def _bordered_kernel(g: np.ndarray, band: _Band | None) -> np.ndarray:
+    """Coordinates of the trace-one kernel vector of L_H = g, by the bordered LU solve.
+
+    band None is the dense solve: g with the row of coordinate 0 replaced
+    by the trace row. Otherwise g is permuted to the coordinate order and
+    the row of coordinate 0 holds the in-band part of the trace row; its
+    kernel direction is the same, and the trace normalization follows the
+    solve either way.
+
+    Raises
+    ------
+    DegenerateSteadyStateError
+        If the bordered matrix is singular or its reciprocal condition
+        number is below RCOND_TOL.
+    """
+    n = g.shape[0]
+    d = math.isqrt(n)
+    b = np.zeros((n, 1))
+    b[0] = 1.0
+    if band is None:
+        a = np.array(g, order="F")
+        a[0] = 0.0
+        a[0, :d] = 1.0
+        anorm = dlange("1", a)
+        lu, piv, info = dgetrf(a, overwrite_a=True)
+        rcond = dgecon(lu, anorm)[0] if info == 0 else 0.0
+    else:
+        kl, ku = band.kl, band.ku
+        ab = np.zeros((2 * kl + ku + 1, n), order="F")
+        flat = ab.reshape(-1, order="F")
+        flat[band.dst] = g.reshape(-1)[band.src]
+        flat[band.border] = 1.0
+        # the kl rows above the band are zero, so the band with kl + ku
+        # superdiagonals has the same norm
+        anorm = dlangb("1", kl, kl + ku, ab)
+        lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=True)
+        rcond = dgbcon(kl, ku, lu, piv, anorm)[0] if info == 0 else 0.0
+    if rcond < RCOND_TOL:
+        raise DegenerateSteadyStateError(
+            f"Liouvillian kernel is degenerate (reciprocal condition {rcond:.3e} of "
+            f"the trace-bordered generator is below {RCOND_TOL:.0e}); no unique "
+            "steady state. This signals a decoupled-sector parameter choice.")
+    if band is None:
+        c = dgetrs(lu, piv, b)[0][:, 0]
+    else:
+        c = np.empty(n)
+        c[band.order] = dgbtrs(lu, kl, ku, b, piv)[0][:, 0]
+    return c / c[:d].sum()
 
 
 def _residual(l: Liouvillian, c: np.ndarray) -> float:

@@ -48,6 +48,12 @@ def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
     return m.ndim == 2 and m.shape[0] == m.shape[1] and np.max(np.abs(m - m.conj().T)) <= tol
 
 
+def _is_integer(x) -> bool:
+    """True for an int or numpy integer, False for a bool (an Integral too)."""
+    # int first: it skips the slower numbers.Integral check
+    return isinstance(x, (int, numbers.Integral)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class SpaceLayout:
     """Ordered subsystem dimensions of a composite Hilbert space."""
@@ -55,9 +61,7 @@ class SpaceLayout:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        # int first: it skips the slower numbers.Integral check
-        if not self.dims or any(not isinstance(d, (int, numbers.Integral)) or d < 1
-                                for d in self.dims):
+        if not self.dims or any(not _is_integer(d) or d < 1 for d in self.dims):
             raise ValueError(f"subsystem dimensions must be positive integers, got {self.dims}")
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
 
@@ -173,10 +177,10 @@ def partial_trace(rho: DensityMatrix, keep: tuple[int, ...] | list[int] | set[in
     keep : collection of subsystem indices
         Nonempty set of integer indices into rho.layout.dims.
     """
-    keep_set = set(keep)
-    if not all(isinstance(k, (int, numbers.Integral)) for k in keep_set):
+    # checked before the set, where False would merge into 0
+    if not all(_is_integer(k) for k in keep):
         raise ValueError(f"keep indices must be integers, got {keep}")
-    keep_list = sorted(int(k) for k in keep_set)
+    keep_list = sorted(int(k) for k in set(keep))
     n = rho.layout.n_subsystems
     if not keep_list:
         raise ValueError("keep must be nonempty")

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liouvillian import NumericalError, steady_state
+from .liouvillian import NumericalError, _band_of, steady_state
 from .models import _FLOAT_FIELDS, FullModelParams, _affine_generator, full_model_liouvillian
 from .observables import (
     DEFAULT_N_SAMPLES,
@@ -158,9 +158,12 @@ def _build_cell_tables(base: FullModelParams) -> None:
     n_max and relaxation_operator are not sweepable, so all cells share the
     affine generator table (whose build also caches the layout's Hermitian
     index) and the layout's emission-operator table of g2(0) and g2(tau).
+    Cells whose generator has the nonzero pattern of the base's also share
+    its steady-state band plan, where the solve is banded.
     """
     _affine_generator(base.n_max, base.relaxation_operator)
     _emission_operators(qubit_pair_boson_layout(base.n_max))
+    _band_of(full_model_liouvillian(base))
 
 
 def run_sweep(spec: GridSpec, workers: int = 1) -> SweepResult:

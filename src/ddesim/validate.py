@@ -8,7 +8,8 @@ post-jump states propagated one delay at a time. The model checks run on
 the generator every command uses, full_model_liouvillian's
 parameter-affine table; the steady-state check holds that table to the
 direct assembly build_liouvillian(*build_full_model(p)), the one place the
-reference path runs. Each check reports ok/FAIL; any failure makes the
+reference path runs, and holds the banded steady-state solve at n_max 5 to
+the dense one. Each check reports ok/FAIL; any failure makes the
 battery fail as a whole.
 """
 
@@ -21,6 +22,9 @@ import scipy.linalg
 
 from .liouvillian import (
     JumpTerm,
+    _band_of,
+    _bordered_kernel,
+    _hermitian_vec,
     apply_liouvillian,
     build_liouvillian,
     evolve,
@@ -114,6 +118,14 @@ def _check_steady_state(rng):
         assert res < 1e-10, f"steady-state residual {res:.3e}"
         mineig = np.linalg.eigvalsh(rho.matrix).min()
         assert mineig > -1e-9, f"steady-state min eigenvalue {mineig:.3e}"
+    # one fixed point past the dense limit, with boson drive: the banded
+    # solve against the dense bordered oracle; it draws no rng values, so
+    # later checks see the same stream
+    liou = full_model_liouvillian(FullModelParams(n_max=5, eta_a=0.3))
+    assert _band_of(liou) is not None, "n_max 5 no longer takes the banded steady-state solve"
+    oracle = unvec(_hermitian_vec(_bordered_kernel(liou.generator, None)))
+    err = np.abs(steady_state(liou).matrix - oracle).max()
+    assert err < 1e-12, f"banded steady state deviates from the dense solve by {err:.3e}"
 
 
 def integrator_states(l, rho0: DensityMatrix, times) -> list[np.ndarray]:

@@ -272,6 +272,39 @@ def test_timescale_map_meta_lists_the_grid_its_cells_used(tmp_path):
     assert not {256, 100} & {v for v in leaves(meta) if isinstance(v, (int, float))}
 
 
+# a value for every run key but out; a command's CSV must not depend on the
+# keys it does not read, and its meta.json settings lists only those it reads
+RUN_KEY_VALUES = {"t_max": "5", "n_times": "3", "tau_max": "1000", "n_samples": "256",
+                  "axis1": "eta0", "axis1_min": "0.03", "axis1_max": "0.05",
+                  "axis1_points": "2", "workers": "1", "pi_units": "true"}
+AXIS_KEYS = {f"axis{k}{suffix}" for k in (1, 2) for suffix in ("", "_min", "_max", "_points")}
+KEYS_READ = {
+    "populations": {"t_max", "n_times"},
+    "steady": set(),
+    "g2": {"tau_max", "n_samples"},
+    "concurrence-map": AXIS_KEYS | {"workers"},
+    "timescale-map": AXIS_KEYS | {"workers", "pi_units"},
+}
+
+
+@pytest.mark.parametrize("command", list(KEYS_READ))
+def test_meta_settings_list_only_the_keys_the_command_reads(tmp_path, command):
+    read = KEYS_READ[command]
+
+    def run(name, keys):
+        out = tmp_path / f"{name}.csv"
+        sets = [arg for k in keys & RUN_KEY_VALUES.keys()
+                for arg in ("--set", f"{k}={RUN_KEY_VALUES[k]}")]
+        assert main([command, "--out", str(out), *sets]) == 0
+        return out.read_bytes(), json.loads((tmp_path / f"{name}.csv.meta.json").read_text())
+
+    csv_read, meta_read = run("read", read)
+    csv_all, meta_all = run("all", set(RUN_KEY_VALUES))
+    assert csv_all == csv_read
+    assert set(meta_all["settings"]) == read | {"out"}
+    assert meta_all["settings"] == {**meta_read["settings"], "out": str(tmp_path / "all.csv")}
+
+
 def test_degenerate_parameters_exit_numerical(tmp_path, capsys):
     code = main(["steady", "--out", str(tmp_path / "x.csv"),
                  "--set", "g0=0", "--set", "gamma_r0=0", "--set", "gamma_d0=0"])
@@ -367,6 +400,20 @@ def test_validation_covers_the_table_generator(monkeypatch):
 def test_steady_state_check_compares_every_table_column(monkeypatch, name):
     scale_table_column(monkeypatch, name)
     with pytest.raises(AssertionError, match="direct assembly"):
+        dict(CHECKS)["steady-state contract"](np.random.default_rng(SEED))
+
+
+def test_steady_state_check_compares_the_banded_solve_with_the_dense_one(monkeypatch):
+    # a 1e-11 ripple on the banded solution stays below the residual bound
+    # but not below the check's 1e-12 agreement with the dense oracle
+    original = ddesim.liouvillian.dgbtrs
+
+    def rippled(*args, **kwargs):
+        x, info = original(*args, **kwargs)
+        return x * (1 + 1e-11 * np.sin(np.arange(x.size)))[:, None], info
+
+    monkeypatch.setattr("ddesim.liouvillian.dgbtrs", rippled)
+    with pytest.raises(AssertionError, match="dense solve"):
         dict(CHECKS)["steady-state contract"](np.random.default_rng(SEED))
 
 

@@ -19,6 +19,7 @@ from ddesim import (
     build_liouvillian,
     concurrence,
     default_tau_max,
+    embed,
     evolve,
     g2_trace,
     g2_zero,
@@ -315,37 +316,99 @@ def test_steady_state_matches_kernel_eigenvector():
 def test_near_degenerate_kernel_threshold():
     # qubit 0 decoupled from the boson relaxes only through gamma_r0, and
     # the reciprocal condition number of the bordered matrix is about 0.12x
-    # the second-smallest |eigenvalue|: 1e-20 at 0, 6.1e-14 at 1e-12,
-    # 6.1e-12 at 1e-10 (below RCOND_TOL = 1e-11), 6.1e-11 at 1e-9 and
-    # 6.1e-5 at 1e-3
-    base = FullModelParams(g0=0.0, gamma_d0=0.0)
-    for gamma_r0 in (0.0, 1e-12, 1e-10):
-        liou = build_liouvillian(*build_full_model(dataclasses.replace(base, gamma_r0=gamma_r0)))
-        with pytest.raises(DegenerateSteadyStateError):
-            steady_state(liou)
-    for gamma_r0 in (1e-9, 1e-3):
-        liou = build_liouvillian(*build_full_model(dataclasses.replace(base, gamma_r0=gamma_r0)))
-        assert steady_state_residual(liou, steady_state(liou)) < 1e-10
+    # the second-smallest |eigenvalue|. Dense at n_max 2: 1e-20 at 0,
+    # 6.1e-14 at 1e-12, 6.1e-12 at 1e-10 (below RCOND_TOL = 1e-11),
+    # 6.1e-11 at 1e-9 and 6.1e-5 at 1e-3. Banded at n_max 4 and 5: 3.8e-12
+    # and 3.0e-12 at 1e-10, 3.8e-11 and 3.0e-11 at 1e-9
+    for n_max in (2, 4, 5):
+        base = FullModelParams(g0=0.0, gamma_d0=0.0, n_max=n_max)
+        for gamma_r0 in (0.0, 1e-12, 1e-10):
+            p = dataclasses.replace(base, gamma_r0=gamma_r0)
+            with pytest.raises(DegenerateSteadyStateError):
+                steady_state(build_liouvillian(*build_full_model(p)))
+        for gamma_r0 in (1e-9, 1e-3):
+            p = dataclasses.replace(base, gamma_r0=gamma_r0)
+            liou = build_liouvillian(*build_full_model(p))
+            assert steady_state_residual(liou, steady_state(liou)) < 1e-10
+
+
+def recording(factored, name, real):
+    def factor(a, *args, **kwargs):
+        factored.append((name, a.shape, a.dtype))
+        return real(a, *args, **kwargs)
+    return factor
 
 
 def test_steady_state_factors_one_real_matrix(monkeypatch):
     # one real LU of the bordered d^2 x d^2 generator, and no complex one
     factored = []
-
-    def recording(name, real):
-        def factor(a, *args, **kwargs):
-            factored.append((name, a.shape, a.dtype))
-            return real(a, *args, **kwargs)
-        return factor
-
-    monkeypatch.setattr(liouvillian_module, "dgetrf", recording("dgetrf", liouvillian_module.dgetrf))
-    monkeypatch.setattr(scipy.linalg.lapack, "zgetrf", recording("zgetrf", scipy.linalg.lapack.zgetrf))
-    monkeypatch.setattr(scipy.linalg, "lu_factor", recording("lu_factor", scipy.linalg.lu_factor))
-    monkeypatch.setattr(np.linalg, "solve", recording("solve", np.linalg.solve))
+    monkeypatch.setattr(liouvillian_module, "dgetrf",
+                        recording(factored, "dgetrf", liouvillian_module.dgetrf))
+    monkeypatch.setattr(liouvillian_module, "dgbtrf",
+                        recording(factored, "dgbtrf", liouvillian_module.dgbtrf))
+    monkeypatch.setattr(scipy.linalg.lapack, "zgetrf",
+                        recording(factored, "zgetrf", scipy.linalg.lapack.zgetrf))
+    monkeypatch.setattr(scipy.linalg, "lu_factor",
+                        recording(factored, "lu_factor", scipy.linalg.lu_factor))
+    monkeypatch.setattr(np.linalg, "solve", recording(factored, "solve", np.linalg.solve))
     liou = build_liouvillian(*build_full_model(FullModelParams()))
     steady_state(liou)
     n = liou.dim ** 2
     assert factored == [("dgetrf", (n, n), np.dtype(np.float64))]
+
+
+def test_steady_state_factors_one_banded_matrix_at_n_max_5(monkeypatch):
+    # kl = 94 subdiagonals and ku = 176 superdiagonals in the boson-number
+    # order: one dgbtrf of the (2 kl + ku + 1) x d^2 band storage, no dgetrf
+    factored = []
+    for name in ("dgetrf", "dgbtrf"):
+        monkeypatch.setattr(liouvillian_module, name,
+                            recording(factored, name, getattr(liouvillian_module, name)))
+    liou = build_liouvillian(*build_full_model(FullModelParams(n_max=5)))
+    steady_state(liou)
+    assert factored == [("dgbtrf", (2 * 94 + 176 + 1, liou.dim ** 2), np.dtype(np.float64))]
+
+
+def test_banded_solve_rejects_a_nan_generator():
+    # a NaN inside the band reaches the banded LU; one in the row of
+    # coordinate 0, which the trace border replaces, reaches the residual
+    liou = build_liouvillian(*build_full_model(FullModelParams(n_max=5)))
+    assert liouvillian_module._band_of(liou) is not None
+    d = liou.dim
+    for row, col in ((d + 3, 7), (0, 7)):
+        generator = liou.generator.copy()
+        generator[row, col] = np.nan
+        broken = Liouvillian(liou.layout, generator)
+        assert liouvillian_module._band_of(broken) is not None
+        with pytest.raises(NumericalError):
+            steady_state(broken)
+
+
+def test_band_keeps_a_jump_across_the_whole_boson_ladder():
+    # |0><n_max| on the boson couples the populations of levels n_max and 0,
+    # far outside the band of the model; the measured band must hold every
+    # nonzero entry of the generator, whether or not it then pays
+    p = FullModelParams(n_max=5)
+    h, jumps, layout = build_full_model(p)
+    reset = np.zeros((p.n_max + 1, p.n_max + 1))
+    reset[0, p.n_max] = 1.0
+    liou = build_liouvillian(h, [*jumps, JumpTerm(0.1, embed(reset, 2, layout))], layout)
+    g = liou.generator
+    band = liouvillian_module._band_plan(layout.dims, np.packbits(g != 0).tobytes())
+    order = liouvillian_module._coordinate_order(layout.dims)
+    ldab = 2 * band.kl + band.ku + 1
+    storage = np.zeros(ldab * g.shape[0])
+    storage[band.dst] = g.reshape(-1)[band.src]
+    permuted = g[np.ix_(order, order)]
+    rows, cols = np.nonzero(permuted[1:])
+    rows += 1
+    assert np.array_equal(storage[cols * ldab + band.kl + band.ku + rows - cols],
+                          permuted[rows, cols])
+    assert np.count_nonzero(storage) == rows.size
+    dense = liouvillian_module._bordered_kernel(g, None)
+    assert np.abs(liouvillian_module._bordered_kernel(g, band) - dense).max() < 1e-12
+    rho = steady_state(liou)
+    assert np.abs(rho.matrix - unvec(liouvillian_module._hermitian_vec(dense))).max() < 1e-12
 
 
 def test_steady_state_makes_one_eigendecomposition(monkeypatch):

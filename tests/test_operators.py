@@ -62,7 +62,8 @@ def test_space_layout():
     with pytest.raises(ValueError):
         SpaceLayout(())
     # only integers: int() would truncate 2.9 to 2 and accept '2'
-    for bad in ((2, 2.9), ("2", 2), (2, np.float64(2.0))):
+    # nor bool, an Integral that would read as dimension 1
+    for bad in ((2, 2.9), ("2", 2), (2, np.float64(2.0)), (True, 2), (2, False)):
         with pytest.raises(ValueError, match="positive integers"):
             SpaceLayout(bad)
     assert SpaceLayout((np.int64(2), 3)).dims == (2, 3)
@@ -195,8 +196,9 @@ def test_partial_trace_rejects_bad_sites():
         partial_trace(rho, ())
     with pytest.raises(ValueError):
         partial_trace(rho, (2,))
-    # int() would truncate or parse these into subsystem indices
-    for bad in ((0.9, 1.2), (0, "1"), (np.float64(0.0),)):
+    # int() would truncate or parse these into subsystem indices, and True
+    # would keep subsystem 1
+    for bad in ((0.9, 1.2), (0, "1"), (np.float64(0.0),), (True,), (0, False)):
         with pytest.raises(ValueError, match="integers"):
             partial_trace(rho, bad)
     assert partial_trace(rho, (np.int64(0),)).layout.dims == (2,)

@@ -28,7 +28,16 @@ from ddesim import (
     post_jump_state,
     steady_state,
 )
-from ddesim.liouvillian import _hermitian_coords, _hermitian_vec, _residual, unvec, vec
+from ddesim.liouvillian import (
+    DegenerateSteadyStateError,
+    _band_plan,
+    _bordered_kernel,
+    _hermitian_coords,
+    _hermitian_vec,
+    _residual,
+    unvec,
+    vec,
+)
 from ddesim.observables import _emission_operators, _emission_setup
 from ddesim.operators import QUBIT_NUMBER, SIGMA_MINUS, SIGMA_PLUS
 from test_liouvillian import kron_assembly
@@ -248,3 +257,29 @@ def test_residual_matches_complex_expansion_bit_for_bit(p, seed):
               _hermitian_coords(vec(random_hermitian(rng, liou.dim)))):
         expanded = float(np.max(np.abs(_hermitian_vec(liou.generator @ c))))
         assert _residual(liou, c) == expanded
+
+
+def bordered_solves(liou):
+    """The banded and the dense bordered solve of one generator: coordinates or the error."""
+    g = liou.generator
+    out = []
+    for plan in (_band_plan(liou.layout.dims, np.packbits(g != 0).tobytes()), None):
+        try:
+            out.append(_bordered_kernel(g, plan))
+        except DegenerateSteadyStateError as exc:
+            out.append(exc)
+    return out
+
+
+@PROPERTY_SETTINGS
+@given(params_strategy, st.integers(3, 6))
+@example(FullModelParams(g0=0.0, gamma_d0=0.0, gamma_r0=0.0), 4)
+def test_banded_and_dense_bordered_solves_agree(p, n_max):
+    # the banded LU of the boson-number-ordered generator and the dense LU
+    # reach the same kernel and the same degeneracy verdict, whichever of
+    # them steady_state takes at this n_max (the verdicts next to RCOND_TOL
+    # are test_near_degenerate_kernel_threshold's)
+    banded, dense = bordered_solves(full_model_liouvillian(dataclasses.replace(p, n_max=n_max)))
+    assert isinstance(banded, np.ndarray) == isinstance(dense, np.ndarray)
+    if isinstance(dense, np.ndarray):
+        assert np.abs(banded - dense).max() < 1e-12

@@ -1,5 +1,6 @@
 """Tests for the parameter-grid sweep harness and its summary statistics."""
 
+import dataclasses
 import sys
 
 import numpy as np
@@ -258,6 +259,19 @@ def test_parent_build_leaves_cells_no_cache_miss():
     before = _cache_misses()
     assert before, "no caches found"
     cell, _ = _evaluate_cell((params, ("concurrence", "g2_zero", "timescale"), ()))
+    assert cell.ok
+    assert _cache_misses() == before
+
+
+def test_parent_build_includes_the_band_plan_of_a_banded_solve():
+    # from n_max 4 the steady state reads a band plan cached per nonzero
+    # pattern; cells with the base's pattern find it built
+    params = FullModelParams(n_max=5, eta_a=0.1)
+    ddesim.sweep._build_cell_tables(params)
+    before = _cache_misses()
+    assert before["ddesim.liouvillian._band_plan"] >= 1
+    cell, _ = _evaluate_cell((dataclasses.replace(params, eta0=0.06),
+                              ("concurrence", "g2_zero"), ()))
     assert cell.ok
     assert _cache_misses() == before
 
