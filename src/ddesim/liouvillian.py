@@ -32,7 +32,7 @@ to n_max 3 and banded from n_max 4. In the banded solve the row of
 coordinate 0, the first in that order, holds only the in-band part of the
 trace row (the populations of the lowest boson levels): the kernel
 direction is the same, and the full trace normalizes the solution
-afterwards.
+afterwards. The SteadyState it returns keeps l, its rcond and residual.
 
 Propagation works on the coordinates and lives only here: evolve samples
 states and correlation_samples samples one expectation value. On a uniform
@@ -147,8 +147,8 @@ class Liouvillian:
     def superop(self) -> np.ndarray:
         """Complex superoperator W L_H W+ on column-stacked vec(rho).
 
-        Rebuilt from the generator on every access, for oracles and callers
-        that want the vectorized form; no solver or propagation path reads it.
+        Rebuilt from the generator on every access, for oracles: d(rho)/dt is
+        unvec(superop @ vec(rho)). No solver or propagation path reads it.
         """
         return _hermitian_vec(_hermitian_vec(self.generator).conj().T).conj().T
 
@@ -242,20 +242,6 @@ def _generator_scatter(h: np.ndarray, jumps) -> tuple[np.ndarray, np.ndarray]:
     index = col.take(p, axis=1)[:, None] * n + col.take(q, axis=1)[None]
     weights = (coef.take(p, axis=1).conj()[:, None] * (coef.take(q, axis=1) * vals)[None]).real
     return index.ravel(), weights.ravel()
-
-
-def apply_liouvillian(l: Liouvillian, rho: DensityMatrix | np.ndarray) -> np.ndarray:
-    """Evaluate d(rho)/dt for a state; Hermitian and traceless up to roundoff.
-
-    L is complex-linear, so a matrix that is not Hermitian is evaluated as
-    its Hermitian part plus i times the Hermitian part of -i rho.
-    """
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    if m.shape != (l.dim, l.dim):
-        raise ValueError(f"state shape {m.shape} does not match Liouvillian dim {l.dim}")
-    v = vec(m)
-    out = _hermitian_vec(l.generator @ _hermitian_coords(np.stack((v, -1j * v), axis=1)))
-    return unvec(out[:, 0] + 1j * out[:, 1])
 
 
 _SQRT_HALF = np.sqrt(0.5)
@@ -417,8 +403,21 @@ def correlation_samples(l: Liouvillian, observable: np.ndarray, x0: np.ndarray,
     return (giant.T @ baby).reshape(-1)[:n]
 
 
-def steady_state(l: Liouvillian) -> DensityMatrix:
-    """Unique fixed point of the generator.
+@dataclass(frozen=True)
+class SteadyState(DensityMatrix):
+    """A DensityMatrix that steady_state checked as the fixed point of liouvillian.
+
+    rcond is the reciprocal condition number of the factored bordered
+    matrix, residual the max-entry norm of L(rho), below 1e-10.
+    """
+
+    liouvillian: Liouvillian = field(repr=False)
+    rcond: float
+    residual: float
+
+
+def steady_state(l: Liouvillian) -> SteadyState:
+    """Unique fixed point of the generator, with the rcond and residual of its solve.
 
     One real LU solve of L_H bordered by the trace condition, the sum of
     the diagonal coordinates, in place of the row of coordinate 0. The
@@ -440,13 +439,13 @@ def steady_state(l: Liouvillian) -> DensityMatrix:
         If the residual is not below 1e-10 or the state has an eigenvalue
         below -1e-9.
     """
-    c = _bordered_kernel(l.generator, _band_of(l))
+    c, rcond = _bordered_kernel(l.generator, _band_of(l))
     res = _residual(l, c)
     if not res < RESIDUAL_TOL:
         raise NumericalError(
             f"steady-state residual {res:.3e} exceeds {RESIDUAL_TOL:.0e}")
     try:
-        return DensityMatrix(l.layout, unvec(_hermitian_vec(c)))
+        return SteadyState(l.layout, unvec(_hermitian_vec(c)), l, rcond, res)
     except NegativeEigenvalueError as exc:
         raise NumericalError(f"steady state has negative eigenvalue {exc.min_eig:.3e} "
                              f"below -{EIG_TOL:.0e}") from None
@@ -534,8 +533,8 @@ def _band_of(l: Liouvillian) -> _Band | None:
     return band if band.pays else None
 
 
-def _bordered_kernel(g: np.ndarray, band: _Band | None) -> np.ndarray:
-    """Coordinates of the trace-one kernel vector of L_H = g, by the bordered LU solve.
+def _bordered_kernel(g: np.ndarray, band: _Band | None) -> tuple[np.ndarray, float]:
+    """Coordinates of the trace-one kernel vector of L_H = g, and the rcond of its bordered LU.
 
     band None is the dense solve: g with the row of coordinate 0 replaced
     by the trace row. Otherwise g is permuted to the coordinate order and
@@ -581,7 +580,7 @@ def _bordered_kernel(g: np.ndarray, band: _Band | None) -> np.ndarray:
     else:
         c = np.empty(n)
         c[band.order] = dgbtrs(lu, kl, ku, b, piv)[0][:, 0]
-    return c / c[:d].sum()
+    return c / c[:d].sum(), float(rcond)
 
 
 def _residual(l: Liouvillian, c: np.ndarray) -> float:

@@ -6,7 +6,8 @@ uniform delay grid by liouvillian.correlation_samples (all propagation
 lives in liouvillian), and FFT extraction of the anti-bunching timescale.
 g2(0), defined in g2_zero, is a ratio of vdots of the steady state with
 cached operators; post_jump_state, which builds the conditional states, is
-its reference.
+its reference. g2_zero and g2_trace take l's SteadyState as solved, its
+rcond raising the faint-emitter floor; another state is checked first.
 Times are in units of the inverse boson decay rate; absolute seconds enter
 only through the configured rate in Hz.
 """
@@ -18,14 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liouvillian import Liouvillian, NumericalError, correlation_samples, steady_state_residual
+from .liouvillian import (Liouvillian, NumericalError, SteadyState, correlation_samples,
+                          steady_state_residual)
 from .models import _rabi_frequency, adiabatic_eliminate
 from .operators import SIGMA_MINUS, DensityMatrix, embed
 
 DARK_TOL = 1e-14
 # smallest weight <n_i> of a bright emitter whose post-jump statistics are
-# resolved: the entries of a solved rho carry roundoff of about 2e-16, so
-# Tr[N rho_i] is off by about 2e-16 / <n_i> relative, 2e-7 at this floor
+# resolved: a solved rho carries roundoff of about 2e-16 (eps / rcond where
+# larger), so Tr[N rho_i] is off by that over <n_i>, 2e-7 at this floor
 WEIGHT_FLOOR = 1e-9
 TAIL_FRACTION = 0.05
 TAIL_TOL = 0.05
@@ -148,12 +150,15 @@ def _emission_setup(l: Liouvillian, rho_ss: DensityMatrix):
     """Bright/dark split, bright weights w_i = <n_i>, asymptote |bright| <N>
     and raw zero-delay value, the sum of <n_0 n_1> / w_i over bright i, from
     vdots with the Hermitian operators of the emission table. w_i below
-    DARK_TOL is dark; a bright w_i below WEIGHT_FLOOR raises
-    FaintEmitterError, and two dark emitters raise DarkEmitterError.
+    DARK_TOL is dark; a bright w_i below WEIGHT_FLOOR (or a SteadyState's
+    eps / rcond) raises FaintEmitterError, two dark ones DarkEmitterError.
     """
-    residual = steady_state_residual(l, rho_ss)
-    if not residual <= 1e-8:
-        raise ValueError(f"rho_ss is not a steady state of l (residual {residual:.3e})")
+    solved = isinstance(rho_ss, SteadyState)
+    if not (solved and rho_ss.liouvillian is l):
+        residual = steady_state_residual(l, rho_ss)
+        if not residual <= 1e-8:
+            raise ValueError(f"rho_ss is not a steady state of l (residual {residual:.3e})")
+    floor = max(WEIGHT_FLOOR, np.finfo(float).eps / rho_ss.rcond) if solved else WEIGHT_FLOOR
 
     _, numbers, coincidence, number_sum = _emission_operators(rho_ss.layout)
     rho = rho_ss.matrix
@@ -164,9 +169,9 @@ def _emission_setup(l: Liouvillian, rho_ss: DensityMatrix):
         if weight < DARK_TOL:
             dark.append(i)
             continue
-        if weight < WEIGHT_FLOOR:
+        if weight < floor:
             raise FaintEmitterError(
-                f"emitter {i} weight {weight:.3e} is below the resolved floor {WEIGHT_FLOOR}")
+                f"emitter {i} weight {weight:.3e} is below the resolved floor {floor:.3g}")
         bright.append(i)
         weights.append(weight)
         raw_zero += joint / weight

@@ -3,18 +3,19 @@
 Each grid cell evaluates its generator from the parameter-affine table of
 its (n_max, relaxation_operator), built once per process
 (full_model_liouvillian), solves for its steady state, and evaluates the
-requested observables. Cells where the solve or the correlation analysis
-raises a NumericalError are flagged with the error message and excluded
-from summary statistics, never given fabricated values; any other
-exception propagates. A process pool receives the cells in contiguous
-chunks, about four per worker, but still evaluates each cell on its own;
-results are collected in grid order, so output is identical for any worker
-count. Before a pool starts, the parent builds every per-process table a
-cell reads (the affine generator table of the spec's n_max and
-relaxation_operator, which no axis can change, and the per-layout index
-and observable operators), so that forked workers inherit them instead of
-each rebuilding them on its first cell. truncation_check repeats the
-steady-state observables of one cell at the next boson truncation.
+requested observables on the SteadyState without checking it again. That
+chain, _observe, also serves validate and truncation_check, which runs one
+cell's concurrence and g2(0) at its boson truncation and the next. Cells
+where the solve or the correlation analysis raises a NumericalError are
+flagged with the error message and excluded from summary statistics, never
+given fabricated values; any other exception propagates. A process pool
+receives the cells in contiguous chunks, about four per worker, but still
+evaluates each cell on its own; results are collected in grid order, so
+output is identical for any worker count. Before a pool starts, the parent
+builds every per-process table a cell reads (the affine generator table of
+the spec's n_max and relaxation_operator, which no axis can change, and
+the per-layout index and observable operators), so that forked workers
+inherit them instead of each rebuilding them on its first cell.
 """
 
 from __future__ import annotations
@@ -131,24 +132,29 @@ class SweepResult:
         return [r for r in self.rows if r.ok]
 
 
+def _observe(params: FullModelParams, observables):
+    """Yield C and g2(0) of params' steady state (None unless requested), then any FFT period.
+
+    A NumericalError propagates after the values yielded before it.
+    """
+    rho = steady_state(full_model_liouvillian(params))
+    yield concurrence(partial_trace(rho, (0, 1))).value if "concurrence" in observables else None
+    yield g2_zero(rho.liouvillian, rho) if "g2_zero" in observables else None
+    if "timescale" in observables:
+        trace = g2_trace(rho.liouvillian, rho, default_tau_max(params), DEFAULT_N_SAMPLES)
+        yield extract_timescale(trace, params.gamma_a_abs).period_native
+
+
 def _evaluate_cell(args: tuple[FullModelParams, tuple[str, ...], tuple[float, ...]]):
     params, observables, axis_values = args
     t0 = time.perf_counter()
-    conc = g2z = period = error = None
+    values, error = [], None
     try:
-        liou = full_model_liouvillian(params)
-        rho_ss = steady_state(liou)
-        if "concurrence" in observables:
-            conc = concurrence(partial_trace(rho_ss, (0, 1))).value
-        if "g2_zero" in observables:
-            g2z = g2_zero(liou, rho_ss)
-        if "timescale" in observables:
-            trace = g2_trace(liou, rho_ss, default_tau_max(params), DEFAULT_N_SAMPLES)
-            period = extract_timescale(trace, params.gamma_a_abs).period_native
+        for value in _observe(params, observables):  # a failed cell keeps what came before
+            values.append(value)
     except NumericalError as exc:  # flagged, never fabricated
         error = f"{type(exc).__name__}: {exc}"
-    cell = CellResult(axis_values=axis_values, concurrence=conc, g2_zero=g2z,
-                      period_native=period, error=error)
+    cell = CellResult(axis_values, *values, error=error)
     return cell, time.perf_counter() - t0
 
 
@@ -215,15 +221,10 @@ def truncation_check(params: FullModelParams) -> float:
     """Boson-truncation convergence probe.
 
     Recomputes steady-state concurrence and zero-delay g2 at params.n_max
-    and params.n_max + 1 and returns the largest absolute change. Every
-    point takes the same path; a decoupled boson (g0 = g1 = 0 with no
-    boson drive) gives a change at roundoff level.
+    and params.n_max + 1, each by a cell's chain, and returns the largest
+    absolute change. A decoupled boson (g0 = g1 = 0 with no boson drive)
+    gives a change at roundoff level.
     """
-    def observables_at(nm: int) -> tuple[float, float]:
-        liou = full_model_liouvillian(dataclasses.replace(params, n_max=nm))
-        rho = steady_state(liou)
-        return concurrence(partial_trace(rho, (0, 1))).value, g2_zero(liou, rho)
-
-    c_lo, g_lo = observables_at(params.n_max)
-    c_hi, g_hi = observables_at(params.n_max + 1)
-    return max(abs(c_hi - c_lo), abs(g_hi - g_lo))
+    lo, hi = (tuple(_observe(dataclasses.replace(params, n_max=nm), ("concurrence", "g2_zero")))
+              for nm in (params.n_max, params.n_max + 1))
+    return max(abs(b - a) for a, b in zip(lo, hi))

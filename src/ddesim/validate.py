@@ -25,11 +25,9 @@ from .liouvillian import (
     _band_of,
     _bordered_kernel,
     _hermitian_vec,
-    apply_liouvillian,
     build_liouvillian,
     evolve,
     steady_state,
-    steady_state_residual,
     unvec,
     vec,
 )
@@ -48,7 +46,7 @@ from .models import (
     ground_state,
     rabi_frequency,
 )
-from .observables import concurrence, g2_trace, g2_zero, default_tau_max, post_jump_state
+from .observables import concurrence, g2_trace, default_tau_max, post_jump_state
 from .operators import (
     QUBIT_NUMBER,
     TWO_QUBIT_LAYOUT,
@@ -57,6 +55,7 @@ from .operators import (
     partial_trace,
     qubit_pair_boson_layout,
 )
+from .sweep import _observe
 
 SEED = 20240817
 
@@ -90,7 +89,7 @@ def _check_lindblad_action(rng):
         lop = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         rho = _random_density(rng, 4)
         liou = build_liouvillian(h, (JumpTerm(0.3, lop),), TWO_QUBIT_LAYOUT)
-        got = apply_liouvillian(liou, rho)
+        got = unvec(liou.superop @ vec(rho))
         ld = lop.conj().T @ lop
         want = -1j * (h @ rho - rho @ h) + 0.3 * (
             lop @ rho @ lop.conj().T - 0.5 * (ld @ rho + rho @ ld))
@@ -114,8 +113,7 @@ def _check_steady_state(rng):
             f"table generator deviates from the direct assembly by {err:.3e} "
             f"(largest entry {scale:.3e})")
         rho = steady_state(liou)
-        res = steady_state_residual(liou, rho)
-        assert res < 1e-10, f"steady-state residual {res:.3e}"
+        assert rho.residual < 1e-10, f"steady-state residual {rho.residual:.3e}"
         mineig = np.linalg.eigvalsh(rho.matrix).min()
         assert mineig > -1e-9, f"steady-state min eigenvalue {mineig:.3e}"
     # one fixed point past the dense limit, with boson drive: the banded
@@ -123,7 +121,7 @@ def _check_steady_state(rng):
     # later checks see the same stream
     liou = full_model_liouvillian(FullModelParams(n_max=5, eta_a=0.3))
     assert _band_of(liou) is not None, "n_max 5 no longer takes the banded steady-state solve"
-    oracle = unvec(_hermitian_vec(_bordered_kernel(liou.generator, None)))
+    oracle = unvec(_hermitian_vec(_bordered_kernel(liou.generator, None)[0]))
     err = np.abs(steady_state(liou).matrix - oracle).max()
     assert err < 1e-12, f"banded steady state deviates from the dense solve by {err:.3e}"
 
@@ -254,11 +252,7 @@ def _check_exchange_symmetry(rng):
     # unequal couplings, so the swap changes the model; the concurrence
     # (0.862) and g2(0) are both far from 0 here
     p = FullModelParams(g1=0.048)
-    values = []
-    for q in (p, p.swapped_qubits()):
-        liou = full_model_liouvillian(q)
-        rho = steady_state(liou)
-        values.append((concurrence(partial_trace(rho, (0, 1))).value, g2_zero(liou, rho)))
+    values = [tuple(_observe(q, ("concurrence", "g2_zero"))) for q in (p, p.swapped_qubits())]
     for name, before, after in zip(("concurrence", "g2(0)"), *values):
         err = abs(before - after)
         assert err < 1e-8, f"{name} changes by {err:.3e} under qubit exchange"

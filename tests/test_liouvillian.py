@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg.lapack import dgecon
 
 from ddesim import (
     DegenerateSteadyStateError,
@@ -14,13 +15,14 @@ from ddesim import (
     SIGMA_MINUS,
     SIGMA_PLUS,
     SpaceLayout,
-    apply_liouvillian,
+    SteadyState,
     build_full_model,
     build_liouvillian,
     concurrence,
     default_tau_max,
     embed,
     evolve,
+    full_model_liouvillian,
     g2_trace,
     g2_zero,
     partial_trace,
@@ -144,11 +146,11 @@ def test_apply_liouvillian_matches_direct_lindblad(case):
     assert np.max(np.abs(liou.superop - want)) <= 1e-14 * np.max(np.abs(want))
     for _ in range(5):
         rho = random_density(rng, h.shape[0])
-        got = apply_liouvillian(liou, rho)
+        got = unvec(liou.superop @ vec(rho))
         assert np.allclose(got, lindblad_rhs(h, ops, rho), atol=1e-12)
     # L is complex-linear: a matrix that is not Hermitian is evaluated too
     x = random_operator(rng, h.shape[0])
-    assert np.allclose(apply_liouvillian(liou, x), lindblad_rhs(h, ops, x), atol=1e-12)
+    assert np.allclose(unvec(liou.superop @ vec(x)), lindblad_rhs(h, ops, x), atol=1e-12)
 
 
 @pytest.mark.parametrize("rate", [0.0, 1.0])
@@ -405,10 +407,39 @@ def test_band_keeps_a_jump_across_the_whole_boson_ladder():
     assert np.array_equal(storage[cols * ldab + band.kl + band.ku + rows - cols],
                           permuted[rows, cols])
     assert np.count_nonzero(storage) == rows.size
-    dense = liouvillian_module._bordered_kernel(g, None)
-    assert np.abs(liouvillian_module._bordered_kernel(g, band) - dense).max() < 1e-12
+    dense = liouvillian_module._bordered_kernel(g, None)[0]
+    assert np.abs(liouvillian_module._bordered_kernel(g, band)[0] - dense).max() < 1e-12
     rho = steady_state(liou)
     assert np.abs(rho.matrix - unvec(liouvillian_module._hermitian_vec(dense))).max() < 1e-12
+
+
+@pytest.mark.parametrize("n_max", [2, 5], ids=["dense", "banded"])
+def test_steady_state_carries_the_rcond_and_residual_of_its_solve(n_max):
+    # the bordered matrix rebuilt densely, in the coordinate order of the
+    # banded solve where steady_state takes it (there the trace border holds
+    # the diagonal coordinates inside the band), and judged by dgecon
+    liou = full_model_liouvillian(FullModelParams(n_max=n_max, eta_a=0.1))
+    rho = steady_state(liou)
+    assert isinstance(rho, SteadyState) and rho.liouvillian is liou
+    g, d = liou.generator, liou.dim
+    band = liouvillian_module._band_of(liou)
+    assert (band is not None) == (n_max == 5)
+    order = np.arange(g.shape[0])
+    if band is not None:
+        order = liouvillian_module._coordinate_order(liou.layout.dims)
+    rank = np.argsort(order)[:d]
+    a = g[np.ix_(order, order)]
+    a[0] = 0.0
+    a[0, rank if band is None else rank[rank <= band.ku]] = 1.0
+    anorm = np.abs(a).sum(axis=0).max()
+    lu, _ = scipy.linalg.lu_factor(a)
+    assert rho.rcond == pytest.approx(dgecon(lu, anorm)[0], rel=1e-10)
+    # the residual of the solved coordinates; read from the matrix instead,
+    # it differs by the roundoff of the round trip
+    c, _ = liouvillian_module._bordered_kernel(g, band)
+    assert rho.residual == liouvillian_module._residual(liou, c) < 1e-10
+    bound = 8 * np.finfo(float).eps * np.abs(g).sum(axis=1).max()
+    assert abs(rho.residual - steady_state_residual(liou, rho)) <= bound
 
 
 def test_steady_state_makes_one_eigendecomposition(monkeypatch):

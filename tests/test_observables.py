@@ -8,6 +8,7 @@ from ddesim import (
     CorrelationTrace,
     DarkEmitterError,
     DensityMatrix,
+    FaintEmitterError,
     FlatSpectrumError,
     FullModelParams,
     NumericalError,
@@ -19,15 +20,19 @@ from ddesim import (
     dicke_basis_vectors,
     embed,
     extract_timescale,
+    full_model_liouvillian,
     g2_trace,
     g2_zero,
     ground_state,
     post_jump_state,
     steady_state,
 )
-from ddesim.liouvillian import unvec, vec
+import ddesim.observables
+from ddesim.liouvillian import Liouvillian, unvec, vec
 from ddesim.models import adiabatic_eliminate, rabi_frequency
+from ddesim.observables import WEIGHT_FLOOR
 from ddesim.operators import QUBIT_NUMBER
+from ddesim.sweep import _evaluate_cell
 
 SYY = np.kron(np.array([[0, -1j], [1j, 0]]), np.array([[0, -1j], [1j, 0]]))
 QB = SpaceLayout((2, 2))
@@ -239,6 +244,42 @@ def test_g2_trace_rejects_non_steady_input():
         g2_trace(liou, ground_state(liou.layout), 1000.0)
     with pytest.raises(ValueError, match="steady"):
         g2_zero(liou, ground_state(liou.layout))
+
+
+def test_steady_state_of_the_generator_skips_the_residual_check(monkeypatch):
+    # steady_state has checked its result against its own generator; a
+    # bare state, or one solved for another generator object, is checked
+    p = FullModelParams()
+    rho = steady_state(full_model_liouvillian(p))
+
+    def forbidden(*args):
+        raise AssertionError("residual recomputed")
+
+    monkeypatch.setattr(ddesim.observables, "steady_state_residual", forbidden)
+    g2_zero(rho.liouvillian, rho)
+    g2_trace(rho.liouvillian, rho, default_tau_max(p), 256)
+    for l, state in ((rho.liouvillian, DensityMatrix(rho.layout, rho.matrix)),
+                     (Liouvillian(rho.layout, rho.liouvillian.generator), rho)):
+        with pytest.raises(AssertionError, match="residual recomputed"):
+            g2_zero(l, state)
+
+
+def test_ill_conditioned_dark_emitter_is_flagged():
+    # emitter 1 is undriven and uncoupled, so dark, but its own rates are
+    # tiny: the roundoff of the solve, up to eps / rcond = 3.9e-6 here, gave
+    # it <n_1> = 6.6e-9 above WEIGHT_FLOOR and g2(0) the two-emitter 0.5
+    p = FullModelParams(delta0=-0.0918, delta1=0.00725, delta_a=0.2596, g0=0.0966, g1=0.0,
+                        eta0=0.0186, eta1=0.0, eta_a=0.2828, gamma_r0=6.68e-9,
+                        gamma_r1=3.15e-9, gamma_d1=2.34e-9, n_max=3)
+    rho = steady_state(full_model_liouvillian(p))
+    weight = rho.expect(embed(QUBIT_NUMBER, 1, rho.layout))
+    assert WEIGHT_FLOOR < weight < np.finfo(float).eps / rho.rcond
+    with pytest.raises(FaintEmitterError, match="floor 3.88e-06"):
+        g2_zero(rho.liouvillian, rho)
+    with pytest.raises(FaintEmitterError):
+        g2_trace(rho.liouvillian, rho, default_tau_max(p), 256)
+    cell, _ = _evaluate_cell((p, ("concurrence", "g2_zero"), ()))
+    assert cell.error.startswith("FaintEmitterError") and cell.g2_zero is None
 
 
 def test_g2_trace_grid_validation():

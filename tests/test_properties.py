@@ -12,7 +12,6 @@ from ddesim import (
     DensityMatrix,
     FullModelParams,
     SpaceLayout,
-    apply_liouvillian,
     build_full_model,
     build_liouvillian,
     concurrence,
@@ -90,7 +89,7 @@ def test_evolve_preserves_trace_and_hermiticity(p, seed):
     trace_row = vec(np.eye(d))
     assert np.abs(trace_row @ liou.superop).max() < 1e-14
     rho = random_density(rng, d)
-    out = apply_liouvillian(liou, rho)
+    out = unvec(liou.superop @ vec(rho))
     assert np.abs(out - out.conj().T).max() < 1e-14
     # the drift is measured before the renormalization evolve applies, and
     # the stepped state matches the unsymmetrized one-shot propagator
@@ -226,7 +225,7 @@ def test_hermitian_basis_generator_and_coordinates(p, seed):
     # the generator acts on coordinates as L acts on matrices
     a, b = random_hermitian(rng, d), random_hermitian(rng, d)
     ca, cb = _hermitian_coords(vec(a)), _hermitian_coords(vec(b))
-    assert np.abs(generator @ ca - _hermitian_coords(vec(apply_liouvillian(liou, a)))).max() < 1e-14
+    assert np.abs(generator @ ca - _hermitian_coords(liou.superop @ vec(a))).max() < 1e-14
     # coordinates round-trip Hermitian matrices and preserve Tr(AB)
     assert np.abs(unvec(_hermitian_vec(ca)) - a).max() < 1e-14
     assert abs(ca @ cb - np.trace(a @ b).real) < 1e-14 * np.linalg.norm(a) * np.linalg.norm(b)
@@ -265,7 +264,7 @@ def bordered_solves(liou):
     out = []
     for plan in (_band_plan(liou.layout.dims, np.packbits(g != 0).tobytes()), None):
         try:
-            out.append(_bordered_kernel(g, plan))
+            out.append(_bordered_kernel(g, plan)[0])
         except DegenerateSteadyStateError as exc:
             out.append(exc)
     return out

@@ -20,6 +20,7 @@ import ddesim
 import ddesim.cli
 import ddesim.liouvillian
 import ddesim.models
+import ddesim.observables
 import ddesim.sweep
 from ddesim.liouvillian import Liouvillian
 from ddesim.sweep import CellResult, _evaluate_cell
@@ -151,6 +152,24 @@ def test_cell_never_builds_the_complex_superoperator(monkeypatch):
     cell, _ = _evaluate_cell((FullModelParams(), ("concurrence", "g2_zero", "timescale"), ()))
     assert cell.ok
     assert None not in (cell.concurrence, cell.g2_zero, cell.period_native)
+
+
+def test_cell_checks_its_steady_state_once(monkeypatch):
+    # steady_state checks the residual; the observables take its result as
+    # solved and do not check it again
+    def forbidden(*args):
+        raise AssertionError("residual recomputed")
+
+    monkeypatch.setattr(ddesim.observables, "steady_state_residual", forbidden)
+    cell, _ = _evaluate_cell((FullModelParams(), ("concurrence", "g2_zero", "timescale"), ()))
+    assert cell.ok
+
+
+def test_failed_cell_keeps_the_values_before_the_failure():
+    # undriven: the concurrence is 0, and g2(0) has no bright emitter
+    cell, _ = _evaluate_cell((FullModelParams(eta0=0.0, eta1=0.0), ("concurrence", "g2_zero"), ()))
+    assert (cell.concurrence, cell.g2_zero) == (0.0, None)
+    assert cell.error.startswith("DarkEmitterError")
 
 
 def test_cell_builds_no_model(monkeypatch):
