@@ -34,13 +34,14 @@ trace row (the populations of the lowest boson levels): the kernel
 direction is the same, and the full trace normalizes the solution
 afterwards. The SteadyState it returns keeps l, its rcond and residual.
 
-Propagation works on the coordinates and lives only here: evolve samples
-states and correlation_samples samples one expectation value. On a uniform
-time grid the real step operator expm(L_H dt) is formed once by scaling and
-squaring and the coordinates are stepped by matrix-vector products. Unlike
-an eigendecomposition of L, whose eigenbasis becomes ill-conditioned near
-exceptional points, the scaling and squaring does not depend on that
-conditioning.
+Propagation works on the coordinates and lives only here: evolve steps
+states with P = expm(L_H dt) from scipy.linalg.expm. correlation_samples
+makes one matrix exponential per call, of L_H dt scaled to a 1-norm of at
+most THETA_13, and runs the squarings itself: one chain of them gives P,
+then P^2, ..., P^b, each doubling a block of baby steps, and the last is
+its giant step (b about 2 sqrt(n)). Unlike an eigendecomposition of L,
+whose eigenbasis becomes ill-conditioned near exceptional points, the
+scaling and squaring does not depend on that conditioning.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ from .operators import (
     DensityMatrix,
     NegativeEigenvalueError,
     SpaceLayout,
+    _is_integer,
     is_hermitian,
 )
 
@@ -77,6 +79,9 @@ BAND_MIN_SAVING = 12e6
 # largest deviation of a time step from the mean step, relative to it, that
 # still counts as a uniform grid (np.linspace rounds at about 1e-13)
 UNIFORM_GRID_RTOL = 1e-9
+# largest 1-norm at which scipy.linalg.expm applies its degree-13 Pade
+# approximant unscaled (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005))
+THETA_13 = 5.371920351148152
 
 # name of the propagation path, recorded in CLI outputs
 PROPAGATION_METHOD = "expm"
@@ -378,32 +383,54 @@ def _powers(step: np.ndarray | None, c: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _block_length(n: int) -> int:
+    """Baby-block length b of correlation_samples for n samples, 128 at n = 4096."""
+    return 1 << (n.bit_length() // 2 + 1)
+
+
 def correlation_samples(l: Liouvillian, observable: np.ndarray, x0: np.ndarray,
                         dt: float, n: int) -> np.ndarray:
     """Tr[A expm(L k dt)(x0)] for k = 0, ..., n - 1, as a real array.
 
     A (observable) and x0 are Hermitian d x d matrices; x0 need not be a
-    state. Everything is real: with the step operator P = expm(L_H dt) and
-    the coordinates c_A and c_0 of A and x0, sample k is c_A . P^k c_0.
-    Writing k = j b + i with b ~ sqrt(n), the b baby steps P^i c_0 and the
-    n / b giant steps (Q^T)^j c_A meet in one (n / b x d^2) (d^2 x b)
-    matrix product. That replaces n - 1 matrix-vector products issued one
-    by one from Python with about 2 sqrt(n) of them and a single BLAS call.
-    b is a power of two, so the giant step Q = P^b is log2(b) squarings of
-    P: the last stage of the scaling and squaring that expm(L_H b dt) would
-    run, which leaves one matrix exponential per call.
+    state. With the real step operator P = expm(L_H dt) and the coordinates
+    c_A and c_0 of A and x0, sample k = j b + i is ((Q^T)^j c_A) . B[:, i]
+    for the baby block B = [P^i c_0 : i < b] and the giant step Q = P^b, so
+    all samples are one (n / b x d^2) (d^2 x b) matrix product.
+    b = 2^(floor(bitlen(n) / 2) + 1), about 2 sqrt(n), is 128 at n = 4096,
+    which ran 2% faster than 64 and 6% faster than 256 on the default
+    model. One chain of squarings makes P, B and Q: the one
+    scipy.linalg.expm call takes L_H dt / 2^s, s the smallest integer that
+    brings its 1-norm to THETA_13 or below; s squarings give P, and each
+    further square P^m first doubles the block, B[:, m:2m] = P^m B[:, :m],
+    in one matrix product; the last is Q. A call costs s + log2(b) squarings, log2(b) block products and
+    ceil(n / b) - 1 matrix-vector products (8, 7 and 31 at the default g2
+    grid, where ||L_H dt||_1 = 5.45 gives s = 1).
+
+    Raises
+    ------
+    ValueError
+        If n is not a positive integer or dt not finite and positive.
     """
-    n_baby = 1 << (n.bit_length() // 2)
-    step = scipy.linalg.expm(l.generator * dt)
-    baby = _powers(step, _hermitian_coords(vec(x0)), n_baby)
-    giant_step = step
-    for _ in range(n_baby.bit_length() - 1):
-        giant_step = giant_step @ giant_step
-    giant = _powers(giant_step.T, _hermitian_coords(vec(observable)), -(-n // n_baby))
+    if not _is_integer(n) or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+    norm = float(np.linalg.norm(l.generator, 1)) * float(dt)
+    if not (dt > 0 and math.isfinite(norm)):
+        raise ValueError(f"dt must be finite and positive with L_H dt finite, got {dt!r}")
+    b = _block_length(int(n))
+    s = math.ceil(math.log2(norm / THETA_13)) if norm > THETA_13 else 0
+    power = scipy.linalg.expm(l.generator * (dt * 0.5 ** s))
+    baby = np.empty((power.shape[0], b), order="F")
+    baby[:, 0] = _hermitian_coords(vec(x0))
+    for k in range(-s, b.bit_length() - 1):  # power is P^(2^k)
+        if k >= 0:
+            baby[:, 1 << k:2 << k] = power @ baby[:, :1 << k]
+        power = power @ power
+    giant = _powers(power.T, _hermitian_coords(vec(observable)), -(-n // b))
     return (giant.T @ baby).reshape(-1)[:n]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SteadyState(DensityMatrix):
     """A DensityMatrix that steady_state checked as the fixed point of liouvillian.
 

@@ -92,12 +92,13 @@ class NegativeEigenvalueError(ValueError):
         self.min_eig = min_eig
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Trace-one Hermitian positive operator on a labeled composite space.
 
     Construction validates trace (1e-10), Hermiticity (1e-10) and numerical
     positivity (min eigenvalue >= -1e-9, else NegativeEigenvalueError).
+    States compare and hash by identity, not by their matrix.
     """
 
     layout: SpaceLayout

@@ -23,6 +23,7 @@ import scipy.linalg
 from .liouvillian import (
     JumpTerm,
     _band_of,
+    _block_length,
     _bordered_kernel,
     _hermitian_vec,
     build_liouvillian,
@@ -238,7 +239,8 @@ def _check_correlations(rng):
         len(states) * rho_ss.expect(number_sum))
     assert abs(trace.g2_zero - want) <= 1e-12 * abs(want), (
         f"g2(0) {trace.g2_zero} vs {want} from the post-jump states")
-    for k in (1, 31, 32, 33, 1023):  # both sides of the 32-sample block edge
+    b = _block_length(trace.raw.size)
+    for k in (1, b - 1, b, b + 1, trace.raw.size - 1):  # both sides of the block edge
         prop = scipy.linalg.expm(liou.superop * trace.taus[k])
         want = sum(np.trace(number_sum @ unvec(prop @ vec(s.matrix))).real for s in states)
         assert abs(trace.raw[k] - want) <= 1e-10 * abs(want), (

@@ -2,11 +2,15 @@
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ddesim
 import ddesim.observables
 from ddesim import __version__
 from ddesim.cli import main
@@ -184,6 +188,25 @@ def test_steady_csv(tmp_path):
     assert meta["csv"] == str(out)
     assert meta["concurrence"] == pytest.approx(table["concurrence"], abs=1e-9)
     assert "wall_clock_seconds" in meta
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    # python -m ddesim is the console script: same command, same exit codes
+    src = str(Path(ddesim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "ddesim", *args], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    out = tmp_path / "steady.csv"
+    done = run("steady", "--out", str(out))
+    assert done.returncode == 0, done.stderr
+    assert out.is_file()
+    done = run("steady", "--set", "bogus=1", "--out", str(tmp_path / "x.csv"))
+    assert done.returncode == 1
+    assert "config error: unknown key 'bogus'" in done.stderr
 
 
 def test_g2_csv_antibunched_and_recovering(tmp_path):

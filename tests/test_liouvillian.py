@@ -31,6 +31,7 @@ from ddesim import (
 )
 from ddesim import liouvillian as liouvillian_module
 from ddesim.liouvillian import (
+    THETA_13,
     Liouvillian,
     NumericalError,
     correlation_samples,
@@ -481,12 +482,13 @@ def test_no_path_computes_an_eigendecomposition(monkeypatch):
 
 
 def test_g2_trace_makes_one_matrix_exponential(monkeypatch):
-    # the giant step is squared from the baby step, not exponentiated again
-    shapes = []
+    # the step and the giant step are squared from one exponential of the
+    # scaled step, which needs no further scaling of its own
+    calls = []
     real_expm = scipy.linalg.expm
 
     def counting_expm(a, *args, **kwargs):
-        shapes.append((a.shape, a.dtype))
+        calls.append((a.shape, a.dtype, np.linalg.norm(a, 1)))
         return real_expm(a, *args, **kwargs)
 
     p = FullModelParams()
@@ -494,23 +496,58 @@ def test_g2_trace_makes_one_matrix_exponential(monkeypatch):
     rho = steady_state(liou)
     monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
     g2_trace(liou, rho, default_tau_max(p))
-    assert shapes == [(liou.superop.shape, np.dtype(float))]
+    [(shape, dtype, norm)] = calls
+    assert (shape, dtype) == (liou.superop.shape, np.dtype(float))
+    assert norm <= THETA_13
 
 
-@pytest.mark.parametrize("n, dt", [(256, 0.1), (300, 0.1), (1024, 0.03)])
-def test_correlation_samples_match_per_sample_expm(n, dt):
-    # sigma_z after the exceptional-point qubit of
-    # test_evolve_exact_at_exceptional_point starts from |+><+|, a pairing
-    # g2 never propagates; n = 300 leaves the last giant step partly unused
+def exceptional_point_qubit():
+    # the qubit of test_evolve_exact_at_exceptional_point; ||L_H||_1 = 2.18
     gamma = 1.0
     h = 0.5 * (gamma / 4) * (SIGMA_PLUS + SIGMA_MINUS)
-    liou = build_liouvillian(h, [JumpTerm(gamma, SIGMA_MINUS)], SpaceLayout((2,)))
+    return build_liouvillian(h, [JumpTerm(gamma, SIGMA_MINUS)], SpaceLayout((2,)))
+
+
+CORRELATION_GRIDS = [(1, 0.1, False), (3, 0.1, False), (256, 0.1, False), (300, 0.1, False),
+                     (1024, 0.03, False), (100, 3.0, True), (257, 7.0, True)]
+
+
+@pytest.mark.parametrize("n, dt, scaled", CORRELATION_GRIDS,
+                         ids=[f"{n}-{dt}" for n, dt, _ in CORRELATION_GRIDS])
+def test_correlation_samples_match_per_sample_expm(n, dt, scaled):
+    # sigma_z after the exceptional-point qubit starts from |+><+|, a
+    # pairing g2 never propagates. n = 300, 100 and 257 are no multiple of
+    # the block length, so the last giant step is partly unused; n = 1 and
+    # 3 fit in one baby block; scaled steps exceed THETA_13 and are squared
+    # from a scaled exponential (s = 1 and s = 2)
+    liou = exceptional_point_qubit()
+    assert (np.linalg.norm(liou.generator * dt, 1) > THETA_13) == scaled
     x0 = np.full((2, 2), 0.5)
     got = correlation_samples(liou, SIGMA_Z, x0, dt, n)
     want = np.array([np.trace(SIGMA_Z @ unvec(scipy.linalg.expm(liou.superop * (k * dt))
                                                 @ vec(x0))).real for k in range(n)])
     assert got.shape == (n,)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n, dt", [
+    (0, 0.1), (-4, 0.1), (2.5, 0.1), (4.0, 0.1), (True, 0.1),
+    (16, 0.0), (16, -0.1), (16, np.nan), (16, np.inf), (16, -np.inf), (16, 1e308)])
+def test_correlation_samples_reject_bad_inputs(n, dt):
+    # n must be a positive integer and dt finite and positive, with L_H dt
+    # finite; none of these may fall through to a wrong answer or a
+    # different exception
+    x0 = np.full((2, 2), 0.5)
+    with pytest.raises(ValueError, match="^(n|dt) must be"):
+        correlation_samples(exceptional_point_qubit(), SIGMA_Z, x0, dt, n)
+
+
+def test_states_compare_and_hash_by_identity():
+    liou = full_model_liouvillian(FullModelParams())
+    first, second = steady_state(liou), steady_state(liou)
+    bare = DensityMatrix(first.layout, first.matrix)
+    assert first == first and first != second and bare != first
+    assert len({first, second, bare}) == 3
 
 
 def test_truncation_check_decoupled_boson():

@@ -28,7 +28,7 @@ from ddesim import (
     steady_state,
 )
 import ddesim.observables
-from ddesim.liouvillian import Liouvillian, unvec, vec
+from ddesim.liouvillian import THETA_13, Liouvillian, _block_length, unvec, vec
 from ddesim.models import adiabatic_eliminate, rabi_frequency
 from ddesim.observables import WEIGHT_FLOOR
 from ddesim.operators import QUBIT_NUMBER
@@ -181,17 +181,22 @@ def test_g2_zero_matches_trace_sample():
     assert np.abs(trace.normalized[-205:] - 1.0).max() <= 0.05
 
 
-@pytest.mark.parametrize("overrides", [{}, {"delta0": 0.013, "eta0": 0.07}],
-                         ids=["default", "asymmetric"])
-def test_g2_trace_matches_per_sample_expm(overrides):
+@pytest.mark.parametrize("overrides, n_samples", [
+    ({}, 4096), ({"delta0": 0.013, "eta0": 0.07}, 4096), ({}, 8192)],
+    ids=["default", "asymmetric", "unscaled"])
+def test_g2_trace_matches_per_sample_expm(overrides, n_samples):
     # independent propagation: each delay gets its own exponential of the
-    # complex superoperator, applied to each bright emitter's post-jump state
+    # complex superoperator, applied to each bright emitter's post-jump state.
+    # The default grid's step has ||L_H dt||_1 = 5.45 (5.52 asymmetric), so
+    # its exponential is scaled and squared once; at 8192 samples it is 2.72
+    # and taken unscaled
     p = FullModelParams(**overrides)
     liou = build_liouvillian(*build_full_model(p))
     rho = steady_state(liou)
-    trace = g2_trace(liou, rho, default_tau_max(p))
+    trace = g2_trace(liou, rho, default_tau_max(p), n_samples)
     n = trace.raw.size
-    b = 1 << (n.bit_length() // 2)
+    b = _block_length(n)
+    assert (np.linalg.norm(liou.generator * trace.taus[1], 1) > THETA_13) == (n == 4096)
     number_sum = sum(embed(QUBIT_NUMBER, j, liou.layout) for j in (0, 1))
     initial = [post_jump_state(rho, i)[0].matrix for i in trace.bright_emitters]
     for k in (1, b - 1, b, b + 1, 1000, n - 1):
