@@ -34,14 +34,21 @@ trace row (the populations of the lowest boson levels): the kernel
 direction is the same, and the full trace normalizes the solution
 afterwards. The SteadyState it returns keeps l, its rcond and residual.
 
-Propagation works on the coordinates and lives only here: evolve steps
-states with P = expm(L_H dt) from scipy.linalg.expm. correlation_samples
-makes one matrix exponential per call, of L_H dt scaled to a 1-norm of at
-most THETA_13, and runs the squarings itself: one chain of them gives P,
-then P^2, ..., P^b, each doubling a block of baby steps, and the last is
-its giant step (b about 2 sqrt(n)). Unlike an eigendecomposition of L,
-whose eigenbasis becomes ill-conditioned near exceptional points, the
-scaling and squaring does not depend on that conditioning.
+Propagation works on the coordinates and lives only here, and every path
+takes its exponential from _scaled_exponential: a truncated Taylor series
+(Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)) of L_H t shifted
+by its mean diagonal and scaled by 2^-s, with s the fewest squarings that
+bring its alpha_3 within TAYLOR_THETA[28], and the degree (16 to 28) the
+lowest that reaches it. It costs 6 to 9 matrix products and no solve;
+the s squarings are left to the caller. evolve squares it s times into
+its first sample's exponential and into its step P = e^(L_H dt).
+correlation_samples continues the same chain of squarings: P, then P^2,
+..., P^b, each doubling a block of baby steps, and the last is its giant
+step (b about 2 sqrt(n)). Unlike an eigendecomposition of L, whose
+eigenbasis becomes ill-conditioned near exceptional points, the scaling
+and squaring does not depend on that conditioning. scipy.linalg.expm
+stays with the oracles (validate and the tests), so they check this
+exponential rather than share it.
 """
 
 from __future__ import annotations
@@ -52,6 +59,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+# the package first: with a scipy.linalg submodule as the first import,
+# `import ddesim` took about 2 ms longer
 import scipy.linalg
 from scipy.linalg.lapack import dgbcon, dgbtrf, dgbtrs, dgecon, dgetrf, dgetrs, dlangb, dlange
 
@@ -79,9 +88,18 @@ BAND_MIN_SAVING = 12e6
 # largest deviation of a time step from the mean step, relative to it, that
 # still counts as a uniform grid (np.linspace rounds at about 1e-13)
 UNIFORM_GRID_RTOL = 1e-9
-# largest 1-norm at which scipy.linalg.expm applies its degree-13 Pade
-# approximant unscaled (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005))
-THETA_13 = 5.371920351148152
+# theta_m of the degree-m truncated Taylor series: the largest alpha_p of a
+# scaled argument at which it gives the exponential with a backward error
+# of at most 2^-53 (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011),
+# Table 3.1), for the degrees a polynomial in B^4 with cubic coefficients
+# has (_scaled_exponential)
+TAYLOR_THETA = {16: 0.781, 20: 1.44, 24: 2.22, 28: 3.08}
+# 1 / k! for k = 0, ..., 28
+_TAYLOR = np.array([1.0 / math.factorial(k) for k in range(29)])
+_TAYLOR.flags.writeable = False
+# largest ||L_H t||_1 whose shifted fourth power is finite: the shift at
+# most doubles the 1-norm, and ||B^4||_1 <= ||B||_1^4
+MAX_EXPONENT_NORM = float(np.finfo(float).max) ** 0.25 / 2
 
 # name of the propagation path, recorded in CLI outputs
 PROPAGATION_METHOD = "expm"
@@ -327,6 +345,8 @@ def _uniform_times(times) -> tuple[np.ndarray, float]:
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size == 0:
         raise ValueError("times must be a nonempty 1-D sequence")
+    if not np.all(np.isfinite(t)):
+        raise ValueError("times must be finite")
     if t[0] < 0:
         raise ValueError("times must be nonnegative")
     if t.size == 1:
@@ -344,29 +364,34 @@ def evolve(l: Liouvillian, rho0: DensityMatrix, times) -> EvolveResult:
     """Propagate rho0 along a uniform grid of sample times.
 
     Works on the real coordinates c of the Hermitian basis (module
-    docstring): the first sample is expm(L_H t[0]) c(rho0), each later one
-    the real step operator expm(L_H dt) applied to the previous sample. The
-    trace drift, the sum of the diagonal coordinates minus 1, is measured
-    before each sampled state is trace-renormalized and is reported in the
-    result.
+    docstring): the first sample is e^(L_H t[0]) c(rho0), each later one
+    the real step operator P = e^(L_H dt) applied to the previous sample.
+    Each of the two exponentials is _scaled_exponential's e^(L_H t / 2^s)
+    squared s times. The trace drift, the sum of the diagonal coordinates
+    minus 1, is measured before each sampled state is trace-renormalized
+    and is reported in the result.
 
     Raises
     ------
     ValueError
-        If times is empty, negative, not strictly increasing or not
-        uniformly spaced.
+        If times is empty, not finite, negative, not strictly increasing
+        or not uniformly spaced, or ||L_H t[0]||_1 or ||L_H dt||_1 exceeds
+        MAX_EXPONENT_NORM.
     NumericalError
-        If the trace drifts by more than 1e-9.
+        If the trace drifts by more than 1e-9, or to NaN.
     """
     if rho0.layout.total_dim != l.dim:
         raise ValueError("initial state dimension does not match Liouvillian")
     t, dt = _uniform_times(times)
+    if not float(np.linalg.norm(l.generator, 1)) * max(t[0], dt) <= MAX_EXPONENT_NORM:
+        raise ValueError(f"times must keep ||L_H t[0]||_1 and ||L_H dt||_1 at most "
+                         f"{MAX_EXPONENT_NORM:.3e}, got t[0] = {t[0]!r}, dt = {dt!r}")
 
-    first = scipy.linalg.expm(l.generator * t[0]) @ _hermitian_coords(vec(rho0.matrix))
-    step = scipy.linalg.expm(l.generator * dt) if t.size > 1 else None
+    first = _exponential(l.generator * t[0]) @ _hermitian_coords(vec(rho0.matrix))
+    step = _exponential(l.generator * dt) if t.size > 1 else None
     cols = _powers(step, first, t.size)
     drift = float(np.max(np.abs(cols[:l.dim].sum(axis=0) - 1.0)))
-    if drift > TRACE_DRIFT_TOL:
+    if not drift <= TRACE_DRIFT_TOL:
         raise NumericalError(f"trace drift {drift:.3e} exceeds {TRACE_DRIFT_TOL:.0e}")
 
     states = tuple(DensityMatrix(rho0.layout, m / np.trace(m).real)
@@ -383,6 +408,72 @@ def _powers(step: np.ndarray | None, c: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _scaled_exponential(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """E = e^(a / 2^s) and the number s of squarings that take it to e^a.
+
+    a is L_H t with ||a||_1 <= MAX_EXPONENT_NORM. It is shifted to
+    B = a - mu I, mu = tr(a) / n, and B^2, B^3 and B^4 give
+    alpha_3 = max(||B^3||_1^(1/3), ||B^4||_1^(1/4)) (Al-Mohy & Higham,
+    SIAM J. Matrix Anal. Appl. 31, 970 (2009)). Each squaring can double
+    a relative error, and the trace drift of a long step grows as 2^s, so
+    s is the fewest squarings that TAYLOR_THETA allows,
+    alpha_3 / 2^s <= TAYLOR_THETA[28], and m the lowest degree in the
+    table with alpha_3 / 2^s <= TAYLOR_THETA[m]. The powers are scaled by
+    exact powers of two, and the degree-m Taylor polynomial of B / 2^s is
+    evaluated by Paterson-Stockmeyer as a polynomial in (B / 2^s)^4 with
+    cubic coefficients: m / 4 - 1 products, m / 4 + 2 with the powers (6
+    at m = 16, 9 at m = 28), and no solve. The factor e^(mu / 2^s) cannot
+    underflow: 0 is an eigenvalue of every L_H, so -mu is one of B, and
+    |mu| <= rho(B) <= alpha_3 gives |mu / 2^s| <= TAYLOR_THETA[28].
+    Everything is written into one (6, n, n) workspace, of which E is a
+    view.
+    """
+    n = a.shape[0]
+    mu = float(np.trace(a)) / n
+    work = np.empty((6, n, n))
+    flat = work.reshape(6, -1)
+    b, b2, b3, b4 = work[:4]
+    np.copyto(b, a)
+    flat[0, ::n + 1] -= mu
+    np.matmul(b, b, out=b2)
+    np.matmul(b2, b, out=b3)
+    np.matmul(b2, b2, out=b4)
+    # ||X||_1 is the infinity norm of the Fortran-ordered transpose
+    alpha = max(dlange("I", b3.T) ** (1 / 3), dlange("I", b4.T) ** 0.25)
+    s = 0
+    while alpha > math.ldexp(TAYLOR_THETA[28], s):
+        s += 1
+    m = min(m for m, theta in TAYLOR_THETA.items() if alpha <= math.ldexp(theta, s))
+    if s:
+        for k in range(4):
+            np.ldexp(work[k], -(k + 1) * s, out=work[k])
+    # sum_k B^k / k! = C_0 + B^4 (C_1 + ... + B^4 (C_(q-1) + B^4 / m!)),
+    # q = m / 4, C_j = sum_{i < 4} B^i / (4 j + i)!; the bracket alternates
+    # between slots 4 and 5 of the workspace, and one in-place dgemv adds
+    # the B, B^2 and B^3 terms of C_j to it (three daxpy calls in its place
+    # ran 100x slower at two OpenBLAS threads, alternating with the products)
+    q = m // 4
+    slot = 4
+    np.multiply(b4, _TAYLOR[m], out=work[slot])
+    for j in reversed(range(q)):
+        if j < q - 1:
+            np.matmul(b4, work[slot], out=work[slot ^ 1])
+            slot ^= 1
+        scipy.linalg.blas.dgemv(1.0, flat[:3].T, _TAYLOR[4 * j + 1:4 * j + 4], beta=1.0,
+                                y=flat[slot], overwrite_y=True)
+        flat[slot, ::n + 1] += _TAYLOR[4 * j]
+    work[slot] *= math.exp(math.ldexp(mu, -s))
+    return work[slot], s
+
+
+def _exponential(a: np.ndarray) -> np.ndarray:
+    """e^a for a = L_H t: _scaled_exponential squared s times."""
+    e, s = _scaled_exponential(a)
+    for _ in range(s):
+        e = e @ e
+    return e
+
+
 def _block_length(n: int) -> int:
     """Baby-block length b of correlation_samples for n samples, 128 at n = 4096."""
     return 1 << (n.bit_length() // 2 + 1)
@@ -390,36 +481,36 @@ def _block_length(n: int) -> int:
 
 def correlation_samples(l: Liouvillian, observable: np.ndarray, x0: np.ndarray,
                         dt: float, n: int) -> np.ndarray:
-    """Tr[A expm(L k dt)(x0)] for k = 0, ..., n - 1, as a real array.
+    """Tr[A e^(L k dt)(x0)] for k = 0, ..., n - 1, as a real array.
 
     A (observable) and x0 are Hermitian d x d matrices; x0 need not be a
-    state. With the real step operator P = expm(L_H dt) and the coordinates
+    state. With the real step operator P = e^(L_H dt) and the coordinates
     c_A and c_0 of A and x0, sample k = j b + i is ((Q^T)^j c_A) . B[:, i]
     for the baby block B = [P^i c_0 : i < b] and the giant step Q = P^b, so
     all samples are one (n / b x d^2) (d^2 x b) matrix product.
     b = 2^(floor(bitlen(n) / 2) + 1), about 2 sqrt(n), is 128 at n = 4096,
     which ran 2% faster than 64 and 6% faster than 256 on the default
-    model. One chain of squarings makes P, B and Q: the one
-    scipy.linalg.expm call takes L_H dt / 2^s, s the smallest integer that
-    brings its 1-norm to THETA_13 or below; s squarings give P, and each
+    model. One chain of squarings makes P, B and Q: it starts from
+    _scaled_exponential's e^(L_H dt / 2^s), s squarings give P, and each
     further square P^m first doubles the block, B[:, m:2m] = P^m B[:, :m],
-    in one matrix product; the last is Q. A call costs s + log2(b) squarings, log2(b) block products and
-    ceil(n / b) - 1 matrix-vector products (8, 7 and 31 at the default g2
-    grid, where ||L_H dt||_1 = 5.45 gives s = 1).
+    in one matrix product; the last is Q. A call costs the 6 to 9 products
+    of the exponential, s + log2(b) squarings, log2(b) block products and
+    ceil(n / b) - 1 matrix-vector products (9, 7, 7 and 31 at the default
+    g2 grid, where alpha_3 = 2.54 of the step gives s = 0 at degree 28).
 
     Raises
     ------
     ValueError
-        If n is not a positive integer or dt not finite and positive.
+        If n is not a positive integer, or dt not positive with
+        ||L_H dt||_1 at most MAX_EXPONENT_NORM.
     """
     if not _is_integer(n) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    norm = float(np.linalg.norm(l.generator, 1)) * float(dt)
-    if not (dt > 0 and math.isfinite(norm)):
-        raise ValueError(f"dt must be finite and positive with L_H dt finite, got {dt!r}")
+    if not (dt > 0 and float(np.linalg.norm(l.generator, 1)) * dt <= MAX_EXPONENT_NORM):
+        raise ValueError(f"dt must be positive with ||L_H dt||_1 at most "
+                         f"{MAX_EXPONENT_NORM:.3e}, got {dt!r}")
     b = _block_length(int(n))
-    s = math.ceil(math.log2(norm / THETA_13)) if norm > THETA_13 else 0
-    power = scipy.linalg.expm(l.generator * (dt * 0.5 ** s))
+    power, s = _scaled_exponential(l.generator * dt)
     baby = np.empty((power.shape[0], b), order="F")
     baby[:, 0] = _hermitian_coords(vec(x0))
     for k in range(-s, b.bit_length() - 1):  # power is P^(2^k)

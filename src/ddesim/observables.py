@@ -276,6 +276,14 @@ class TimescaleResult:
     flatness: float
 
 
+@functools.lru_cache(maxsize=8)
+def _hann(n: int) -> np.ndarray:
+    """np.hanning(n), read-only."""
+    w = np.hanning(n)
+    w.flags.writeable = False
+    return w
+
+
 def extract_timescale(trace: CorrelationTrace, gamma_a_abs: float) -> TimescaleResult:
     """Anti-bunching timescale from the FFT of a correlation trace.
 
@@ -290,7 +298,7 @@ def extract_timescale(trace: CorrelationTrace, gamma_a_abs: float) -> TimescaleR
     y = trace.normalized - 1.0
     n = y.size
     dtau = trace.taus[1] - trace.taus[0]
-    mags = np.abs(np.fft.rfft(y * np.hanning(n)))
+    mags = np.abs(np.fft.rfft(y * _hann(n)))
     freqs = np.fft.rfftfreq(n, d=dtau)
 
     # exclude the full DC main lobe: a Hann window spreads the trace's mean

@@ -131,7 +131,7 @@ def integrator_states(l, rho0: DensityMatrix, times) -> list[np.ndarray]:
     """Oracle for evolve: adaptive RK45 integration of the vectorized master equation.
 
     Starts from rho0 at t = 0 and returns one matrix per sample time. It is
-    independent of the expm step operator; agreement is bounded by the
+    independent of the Taylor step operator; agreement is bounded by the
     integrator tolerances (rtol 1e-9, atol 1e-12), not by double precision.
     """
     from scipy.integrate import solve_ivp  # deferred: costly import, oracle only
@@ -151,7 +151,7 @@ def _check_propagation_agreement(rng):
     res = evolve(liou, ground_state(liou.layout), times)
     oracle = integrator_states(liou, ground_state(liou.layout), times)
     err = max(np.abs(a.matrix - b).max() for a, b in zip(res.states, oracle))
-    assert err < 1e-6, f"expm and integrator propagation differ by {err:.3e}"
+    assert err < 1e-6, f"evolve and integrator propagation differ by {err:.3e}"
     assert res.max_trace_drift <= 1e-9, f"trace drift {res.max_trace_drift:.3e}"
 
 

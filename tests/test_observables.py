@@ -28,11 +28,12 @@ from ddesim import (
     steady_state,
 )
 import ddesim.observables
-from ddesim.liouvillian import THETA_13, Liouvillian, _block_length, unvec, vec
+from ddesim.liouvillian import TAYLOR_THETA, Liouvillian, _block_length, unvec, vec
 from ddesim.models import adiabatic_eliminate, rabi_frequency
 from ddesim.observables import WEIGHT_FLOOR
 from ddesim.operators import QUBIT_NUMBER
 from ddesim.sweep import _evaluate_cell
+from test_liouvillian import alpha_3
 
 SYY = np.kron(np.array([[0, -1j], [1j, 0]]), np.array([[0, -1j], [1j, 0]]))
 QB = SpaceLayout((2, 2))
@@ -182,21 +183,22 @@ def test_g2_zero_matches_trace_sample():
 
 
 @pytest.mark.parametrize("overrides, n_samples", [
-    ({}, 4096), ({"delta0": 0.013, "eta0": 0.07}, 4096), ({}, 8192)],
-    ids=["default", "asymmetric", "unscaled"])
+    ({}, 4096), ({"delta0": 0.013, "eta0": 0.07}, 4096), ({}, 8192), ({}, 2048)],
+    ids=["default", "asymmetric", "unscaled", "scaled"])
 def test_g2_trace_matches_per_sample_expm(overrides, n_samples):
     # independent propagation: each delay gets its own exponential of the
     # complex superoperator, applied to each bright emitter's post-jump state.
-    # The default grid's step has ||L_H dt||_1 = 5.45 (5.52 asymmetric), so
-    # its exponential is scaled and squared once; at 8192 samples it is 2.72
-    # and taken unscaled
+    # The default grid's step has alpha_3 = 2.54 (2.63 asymmetric, 1.27 at
+    # 8192 samples), within TAYLOR_THETA[28] = 3.08, so its exponential is
+    # taken unscaled; at 2048 samples alpha_3 is 5.09 and it is scaled and
+    # squared once
     p = FullModelParams(**overrides)
     liou = build_liouvillian(*build_full_model(p))
     rho = steady_state(liou)
     trace = g2_trace(liou, rho, default_tau_max(p), n_samples)
     n = trace.raw.size
     b = _block_length(n)
-    assert (np.linalg.norm(liou.generator * trace.taus[1], 1) > THETA_13) == (n == 4096)
+    assert (alpha_3(liou.generator * trace.taus[1]) > TAYLOR_THETA[28]) == (n == 2048)
     number_sum = sum(embed(QUBIT_NUMBER, j, liou.layout) for j in (0, 1))
     initial = [post_jump_state(rho, i)[0].matrix for i in trace.bright_emitters]
     for k in (1, b - 1, b, b + 1, 1000, n - 1):
@@ -347,6 +349,13 @@ def test_extract_timescale_stable_under_window_doubling():
     res1 = extract_timescale(synthetic_trace(2000.0, 4096), 50e12)
     res2 = extract_timescale(synthetic_trace(4000.0, 8192), 50e12)
     assert abs(res1.peak_frequency - res2.peak_frequency) < 1.0 / 2000.0
+
+
+def test_hann_window_is_cached_and_read_only():
+    window = ddesim.observables._hann(4096)
+    assert ddesim.observables._hann(4096) is window
+    assert not window.flags.writeable
+    assert np.array_equal(window, np.hanning(4096))
 
 
 def test_extract_timescale_flat_trace_raises():

@@ -39,7 +39,7 @@ from ddesim.liouvillian import (
 )
 from ddesim.observables import _emission_operators, _emission_setup
 from ddesim.operators import QUBIT_NUMBER, SIGMA_MINUS, SIGMA_PLUS
-from test_liouvillian import kron_assembly
+from test_liouvillian import EXPONENTIAL_RTOL, exponential_error, kron_assembly
 
 PROPERTY_SETTINGS = settings(max_examples=10, deadline=None, derandomize=True,
                              database=None)
@@ -107,6 +107,17 @@ def test_evolve_settles_to_steady_state(p):
     liou, rho_ss = solved(p)
     late = evolve(liou, ground_state(liou.layout), [0.0, 1e6]).states[-1]
     assert np.abs(late.matrix - rho_ss.matrix).max() < 1e-10
+
+
+@PROPERTY_SETTINGS
+@given(params_strategy)
+def test_scaled_exponential_matches_scipy_expm_on_random_models(p):
+    # the default g2 step and evolve's step at t = 1e4, within the bound of
+    # test_scaled_exponential_matches_scipy_expm
+    generator = full_model_liouvillian(p).generator
+    for t in (default_tau_max(p) / 4095, 1e4):
+        err, s = exponential_error(generator * t)
+        assert err <= EXPONENTIAL_RTOL * 2.0 ** s * np.finfo(float).eps
 
 
 @PROPERTY_SETTINGS
