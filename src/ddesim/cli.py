@@ -229,7 +229,8 @@ def _timing(sweep_seconds: float, cell_seconds) -> dict:
     """The sweep's wall seconds and the distribution of its cells' seconds.
 
     The sum of cell seconds against the wall seconds (times the workers)
-    shows the pool's own cost; a map without cells reports zeros.
+    shows the cost of starting and collecting the workers; a map without
+    cells reports zeros.
     """
     cells = np.asarray(cell_seconds, dtype=float)
     p50, p95, top = np.percentile(cells, (50, 95, 100)) if cells.size else (0.0, 0.0, 0.0)
@@ -293,7 +294,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="override one config key (repeatable)")
         cmd.add_argument("--out", help="output CSV path (default <command>.csv)")
         cmd.add_argument("--workers", type=int,
-                         help="parallel worker processes for map commands")
+                         help="worker processes for map commands, at most one per cell "
+                              "(default: one per usable CPU; 1 runs in this process)")
         cmd.add_argument("--pi-units", action="store_true",
                          help="format map legend in T = 1/(pi*gamma_a) units")
     return parser

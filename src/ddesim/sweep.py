@@ -8,14 +8,16 @@ chain, _observe, also serves validate and truncation_check, which runs one
 cell's concurrence and g2(0) at its boson truncation and the next. Cells
 where the solve or the correlation analysis raises a NumericalError are
 flagged with the error message and excluded from summary statistics, never
-given fabricated values; any other exception propagates. A process pool
-receives the cells in contiguous chunks, about four per worker, but still
-evaluates each cell on its own; results are collected in grid order, so
-output is identical for any worker count. Before a pool starts, the parent
-builds every per-process table a cell reads (the affine generator table of
-the spec's n_max and relaxation_operator, which no axis can change, and
-the per-layout index and observable operators), so that forked workers
-inherit them instead of each rebuilding them on its first cell.
+given fabricated values; any other exception propagates. A parallel sweep
+forks one process per worker, at most one per cell, and gives worker w of n
+the strided share cells[w::n]; each worker evaluates its cells one by one
+and sends all its (cell, seconds) pairs back as one message, and the parent
+puts them back in grid order, so output is identical for any worker count.
+Before the workers start, the parent builds every per-process table a cell
+reads (the affine generator table of the spec's n_max and
+relaxation_operator, which no axis can change, and the per-layout index and
+observable operators), so that forked workers inherit them instead of each
+rebuilding them on its first cell.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import itertools
 import multiprocessing
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +43,7 @@ from .observables import (
     g2_trace,
     g2_zero,
 )
-from .operators import partial_trace, qubit_pair_boson_layout
+from .operators import _is_integer, partial_trace, qubit_pair_boson_layout
 
 OBSERVABLE_NAMES = ("concurrence", "g2_zero", "timescale")
 
@@ -68,8 +70,8 @@ class GridSpec:
             if name not in _FLOAT_FIELDS:
                 raise ValueError(
                     f"unknown sweep parameter {name!r}; choose from {_FLOAT_FIELDS}")
-            if n < 2:
-                raise ValueError(f"axis over {name!r} needs n_points >= 2, got {n}")
+            if not _is_integer(n) or n < 2:
+                raise ValueError(f"axis over {name!r} needs an integer n_points >= 2, got {n!r}")
             if not lo < hi:
                 raise ValueError(f"axis over {name!r} needs min < max, got [{lo}, {hi}]")
             for end in (lo, hi):  # FullModelParams rejects an out-of-range end
@@ -172,30 +174,94 @@ def _build_cell_tables(base: FullModelParams) -> None:
     _band_of(full_model_liouvillian(base))
 
 
-def run_sweep(spec: GridSpec, workers: int = 1) -> SweepResult:
-    """Evaluate every grid cell, serially or across processes.
+class WorkerTraceback(Exception):
+    """The formatted traceback of an exception that a sweep worker raised.
 
-    A pool hands out contiguous chunks of len(cells) // (4 workers) cells,
-    at least one, and starts no more processes than there are chunks.
-    Before it starts, the parent builds the cached tables the cells read.
-    On Linux the workers are forked, so they inherit those tables
-    copy-on-write rather than each building them on its first cell; other
-    platforms keep their default start method. A serial sweep builds the
-    tables on its first cell. Collection order is the grid order for any
-    worker count, so results do not depend on scheduling.
+    run_sweep re-raises the worker's exception from one of these, so the
+    report shows where in the worker it was raised.
     """
+
+
+def _run_share(sender, jobs) -> None:
+    """Worker body: evaluate jobs in order and send their (cell, seconds) pairs as one message.
+
+    Any exception, interrupts included, is sent in place of the list with
+    its formatted traceback, and the parent re-raises it. _evaluate_cell is
+    looked up at call time, so a replacement of it in the parent also runs
+    here.
+    """
+    try:
+        message = [_evaluate_cell(job) for job in jobs]
+    except BaseException as exc:
+        message = exc, traceback.format_exc()
+    sender.send(message)
+
+
+def _fan_out(jobs: list, workers: int) -> list:
+    """Evaluate jobs across min(workers, len(jobs)) processes, returning them in grid order.
+
+    Worker w of n receives jobs[w::n] as a Process argument, inherited
+    rather than pickled where the processes are forked, and answers on its
+    own one-way Pipe. A worker that exits without answering raises a
+    RuntimeError naming its exit code. On any error the workers still alive
+    are terminated; every worker is joined before this returns or raises.
+    """
+    n = min(workers, len(jobs))
+    context = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
+    outcomes = [None] * len(jobs)
+    started = []
+    try:
+        for w in range(n):
+            receiver, sender = context.Pipe(duplex=False)
+            process = context.Process(target=_run_share, args=(sender, jobs[w::n]))
+            process.start()
+            started.append((process, receiver))
+            # the worker now holds the only write end, so its exit ends our read
+            sender.close()
+        for w, (process, receiver) in enumerate(started):
+            try:
+                share = receiver.recv()
+            except EOFError:
+                process.join()
+                raise RuntimeError(f"sweep worker {w} exited with code {process.exitcode} "
+                                   "before sending its cells") from None
+            if isinstance(share, tuple):
+                exc, text = share
+                raise exc from WorkerTraceback(text)
+            outcomes[w::n] = share
+    except BaseException:
+        for process, _ in started:
+            process.terminate()
+        raise
+    finally:
+        for process, receiver in started:
+            process.join()
+            receiver.close()
+    return outcomes
+
+
+def run_sweep(spec: GridSpec, workers: int = 1) -> SweepResult:
+    """Evaluate every grid cell, in this process or across forked processes.
+
+    workers must be a positive integer. With one, the cells run here and the
+    first builds the cached tables. With more, the parent builds those
+    tables and _fan_out evaluates the cells in min(workers, cells)
+    processes; on Linux they are forked and inherit the tables copy-on-write
+    instead of each building them on its first cell, and other platforms
+    keep their default start method. Rows come back in grid order for any
+    worker count. A NumericalError flags its cell; any other exception, in a
+    worker too, propagates with its class.
+    """
+    if not _is_integer(workers) or workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers!r}")
     jobs = [(p, spec.observables, tuple(getattr(p, axis[0]) for axis in spec.axes))
             for p in spec.cells()]
 
-    if workers <= 1:
+    if workers == 1:
         outcomes = [_evaluate_cell(j) for j in jobs]
     else:
-        chunksize = max(1, len(jobs) // (4 * workers))
-        chunks = -(-len(jobs) // chunksize)
         _build_cell_tables(spec.base)
-        context = multiprocessing.get_context("fork") if sys.platform == "linux" else None
-        with ProcessPoolExecutor(max_workers=min(workers, chunks), mp_context=context) as pool:
-            outcomes = list(pool.map(_evaluate_cell, jobs, chunksize=chunksize))
+        outcomes = _fan_out(jobs, workers)
 
     rows = tuple(cell for cell, _ in outcomes)
     seconds = tuple(sec for _, sec in outcomes)

@@ -1,7 +1,12 @@
 """Tests for the parameter-grid sweep harness and its summary statistics."""
 
+import contextlib
 import dataclasses
+import multiprocessing
+import os
+import signal
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -24,6 +29,9 @@ import ddesim.observables
 import ddesim.sweep
 from ddesim.liouvillian import Liouvillian
 from ddesim.sweep import CellResult, _evaluate_cell
+
+# where workers are forked they inherit the test's monkeypatches
+FORKED = sys.platform == "linux"
 
 
 def small_grid_spec(observables=("concurrence",)):
@@ -106,16 +114,18 @@ def test_only_numerical_failures_become_error_cells(monkeypatch):
         return steady_state
 
     monkeypatch.setattr("ddesim.sweep.steady_state", failing_with(NumericalError("drift")))
-    rows = run_sweep(spec).rows
-    assert [r.error for r in rows] == ["NumericalError: drift"] * 2
+    for workers in (1, 2) if FORKED else (1,):
+        rows = run_sweep(spec, workers=workers).rows
+        assert [r.error for r in rows] == ["NumericalError: drift"] * 2
     monkeypatch.setattr("ddesim.sweep.steady_state",
                         failing_with(DarkEmitterError("both emitters dark")))
     rows = run_sweep(spec).rows
     assert [r.error for r in rows] == ["DarkEmitterError: both emitters dark"] * 2
     for bug in (TypeError("bug"), ValueError("bug")):
         monkeypatch.setattr("ddesim.sweep.steady_state", failing_with(bug))
-        with pytest.raises(type(bug), match="bug"):
-            run_sweep(spec)
+        for workers in (1, 2) if FORKED else (1,):
+            with pytest.raises(type(bug), match="bug"):
+                run_sweep(spec, workers=workers)
 
 
 def test_near_dark_emitter_is_flagged_or_resolved():
@@ -191,72 +201,138 @@ def test_cell_builds_no_model(monkeypatch):
 
 
 def test_sweep_rows_independent_of_worker_count():
-    # 25 cells at 2 workers are chunks of 3, the last one short
+    # 9 and 25 cells at 2 workers are strided shares of unequal length; at
+    # 64 workers each cell has a process of its own
     for points in (3, 5):
         spec = GridSpec(axis1=("delta0", -0.02, 0.02, points),
                         axis2=("delta1", -0.02, 0.02, points),
                         observables=("concurrence", "g2_zero"))
         serial = run_sweep(spec, workers=1)
-        parallel = run_sweep(spec, workers=2)
-        assert serial.rows == parallel.rows
-        assert len(serial.rows) == points ** 2
-        assert len(serial.cell_seconds) == points ** 2
+        assert len(serial.rows) == len(serial.cell_seconds) == points ** 2
         assert all(r.ok for r in serial.rows)
+        for workers in (2, 3, 64):
+            parallel = run_sweep(spec, workers=workers)
+            assert parallel.rows == serial.rows, (points, workers)
+            assert len(parallel.cell_seconds) == points ** 2
 
 
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its arguments, starts no process.
-
-    It also records whether the affine generator table of the default model
-    was already cached when the pool was made, that is, before any worker
-    could have started.
-    """
-
-    created = []
-
-    def __init__(self, max_workers, mp_context=None):
-        self.max_workers = max_workers
-        self.mp_context = mp_context
-        self.chunksize = None
-        misses = ddesim.models._affine_generator.cache_info().misses
-        ddesim.models._affine_generator(FullModelParams().n_max,
-                                        FullModelParams().relaxation_operator)
-        self.table_was_cached = ddesim.models._affine_generator.cache_info().misses == misses
-        RecordingPool.created.append(self)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, jobs, chunksize=1):
-        self.chunksize = chunksize
-        return map(fn, jobs)
+def test_sweep_rejects_a_worker_count_that_is_not_a_positive_integer():
+    spec = GridSpec(axis1=("delta0", -0.02, 0.02, 2))
+    for workers in (0, -2, True, 2.5, "2", None):
+        with pytest.raises(ValueError, match="workers must be a positive integer"):
+            run_sweep(spec, workers=workers)
+    assert len(run_sweep(spec, workers=np.int64(1)).rows) == 2
 
 
-@pytest.mark.parametrize("cells, workers, processes, chunksize", [
-    (3, 64, 3, 1),     # no more processes than chunks
-    (64, 2, 2, 8),     # four chunks per worker
-    (25, 2, 2, 3),
-    (2, 64, 2, 1),
-])
-def test_pool_processes_capped_at_chunks(monkeypatch, cells, workers, processes, chunksize):
-    monkeypatch.setattr(RecordingPool, "created", [])
-    monkeypatch.setattr(ddesim.sweep, "ProcessPoolExecutor", RecordingPool)
-    # start cold, so that only the parent-side build can fill the table
+def test_grid_spec_rejects_a_point_count_that_is_not_an_integer():
+    for n in (3.0, 2.5, "3", True, None):
+        with pytest.raises(ValueError, match="integer n_points"):
+            GridSpec(axis1=("delta0", 0.0, 1.0, n))
+    assert len(GridSpec(axis1=("delta0", 0.0, 1.0, np.int64(3))).cells()) == 3
+
+
+forked = pytest.mark.skipif(not FORKED, reason="needs forked workers")
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the test if the block runs longer than seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _cell_index(job):
+    """Grid index of a job of the axis delta0 = 0, 0.01, 0.02, ..."""
+    return round(job[0].delta0 * 100)
+
+
+def _index_grid(cells):
+    return GridSpec(axis1=("delta0", 0.0, 0.01 * (cells - 1), cells))
+
+
+@forked
+@pytest.mark.parametrize("cells, workers", [(3, 64), (2, 64), (64, 2), (25, 2), (7, 3)])
+def test_fan_out_starts_one_process_per_worker_and_strides_the_cells(
+        monkeypatch, cells, workers):
+    # each cell reports the process that evaluated it, and whether the
+    # generator table was already cached there; the cache is cleared first,
+    # so only the parent's build before the fork can have filled it
+    def report(job):
+        cached = ddesim.models._affine_generator.cache_info().currsize > 0
+        return (_cell_index(job), os.getpid(), cached), 0.0
+
+    monkeypatch.setattr(ddesim.sweep, "_evaluate_cell", report)
+    methods, started = [], []
+    real_get_context = multiprocessing.get_context
+    fork_context = real_get_context("fork")
+
+    class CountingProcess(fork_context.Process):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    def recording_get_context(method=None):
+        methods.append(method)
+        return real_get_context(method)
+
+    monkeypatch.setattr(fork_context, "Process", CountingProcess)
+    monkeypatch.setattr(ddesim.sweep.multiprocessing, "get_context", recording_get_context)
     ddesim.models._affine_generator.cache_clear()
-    spec = GridSpec(axis1=("delta0", -0.02, 0.02, cells))
-    rows = run_sweep(spec, workers=workers).rows
-    assert len(rows) == cells
-    [pool] = RecordingPool.created
-    assert (pool.max_workers, pool.chunksize) == (processes, chunksize)
-    assert pool.table_was_cached
-    # forked workers inherit the parent's tables; elsewhere the default stays
-    if sys.platform == "linux":
-        assert pool.mp_context.get_start_method() == "fork"
-    else:
-        assert pool.mp_context is None
+    with deadline(60):
+        rows = run_sweep(_index_grid(cells), workers=workers).rows
+    assert [index for index, _, _ in rows] == list(range(cells))
+    pids = [pid for _, pid, _ in rows]
+    n = min(workers, cells)
+    assert len(started) == len(set(pids)) == n and os.getpid() not in pids
+    assert pids == [pids[k % n] for k in range(cells)]  # worker w evaluates cells[w::n]
+    assert all(cached for _, _, cached in rows)
+    assert methods == ["fork"]
+    assert multiprocessing.active_children() == []
+
+
+@forked
+@pytest.mark.parametrize("bug", [KeyError("bug"), ZeroDivisionError("bug"),
+                                 KeyboardInterrupt()])
+def test_fan_out_raises_a_worker_exception_with_its_class(monkeypatch, bug):
+    # the failing cell is in the second worker's share; the first finishes
+    def evaluate(job):
+        if _cell_index(job) == 3:
+            raise bug
+        return _cell_index(job), 0.0
+
+    monkeypatch.setattr(ddesim.sweep, "_evaluate_cell", evaluate)
+    with deadline(60), pytest.raises(type(bug)) as raised:
+        run_sweep(_index_grid(6), workers=2)
+    # the worker's own traceback is kept as the cause
+    assert isinstance(raised.value.__cause__, ddesim.sweep.WorkerTraceback)
+    assert "in evaluate" in str(raised.value.__cause__)
+    assert multiprocessing.active_children() == []
+
+
+@forked
+def test_fan_out_raises_when_a_worker_dies_and_stops_the_others(monkeypatch):
+    # worker 0 of 2 dies on its second cell while worker 1 is still on its
+    # first; run_sweep must raise at once, not wait for worker 1, and leave
+    # no process behind
+    def evaluate(job):
+        if _cell_index(job) == 2:
+            os._exit(7)
+        if _cell_index(job) == 1:
+            time.sleep(120)
+        return _cell_index(job), 0.0
+
+    monkeypatch.setattr(ddesim.sweep, "_evaluate_cell", evaluate)
+    with deadline(60), pytest.raises(RuntimeError, match="worker 0 exited with code 7"):
+        run_sweep(_index_grid(6), workers=2)
+    assert multiprocessing.active_children() == []
 
 
 def _cache_misses() -> dict[str, int]:
