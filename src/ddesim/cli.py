@@ -295,7 +295,11 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", help="output CSV path (default <command>.csv)")
         cmd.add_argument("--workers", type=int,
                          help="worker processes for map commands, at most one per cell "
-                              "(default: one per usable CPU; 1 runs in this process)")
+                              "(default: one per usable CPU; 1 runs in this process); "
+                              "each inherits the BLAS threading, so set "
+                              "OPENBLAS_NUM_THREADS=1 to keep several workers from "
+                              "oversubscribing the cores, and to keep the CSV bytes "
+                              "reproducible, which needs a fixed thread count")
         cmd.add_argument("--pi-units", action="store_true",
                          help="format map legend in T = 1/(pi*gamma_a) units")
     return parser

@@ -13,10 +13,16 @@ L_H is assembled from the nonzero entries of the effective non-Hermitian
 Hamiltonian K = -i H - (1/2) sum_k gamma_k L_k+ L_k and of the jump
 operators, never from the complex superoperator: each entry
 B[x, u] conj(A[y, v]) of a term X -> B X A+ lands on at most four entries of
-L_H, and all of them are summed into a dense array by one scatter. That
-scatter, taken before its sum, is also what models.full_model_liouvillian
-tabulates once per model structure, so that a parameter map evaluates each
-cell's L_H as one linear combination.
+L_H. One bincount sums them per written entry, and the sums are placed into
+an otherwise zero dense array. Where the terms land, which entries they are
+gathered from and which W coefficients weight them depend only on d and on
+the nonzero patterns of K and of the live jump operators; build_liouvillian
+keeps that structure in a cache keyed on those patterns (eight entries), so
+a call with a known pattern only gathers, weights and sums the values.
+Finiteness is checked on the written entries alone: every other entry of
+L_H is an exact 0. The same scatter, uncached, is what
+models.full_model_liouvillian tabulates once per model structure, so that a
+parameter map evaluates each cell's L_H as one linear combination.
 
 The steady state is one real LU solve of L_H with the trace condition
 substituted for the row of coordinate 0 (rho[0, 0]). Sorted by the key
@@ -32,7 +38,10 @@ to n_max 3 and banded from n_max 4. In the banded solve the row of
 coordinate 0, the first in that order, holds only the in-band part of the
 trace row (the populations of the lowest boson levels): the kernel
 direction is the same, and the full trace normalizes the solution
-afterwards. The SteadyState it returns keeps l, its rcond and residual.
+afterwards. The 1-norm of the bordered band, which the rcond estimate
+needs, is summed from the entries gathered into the band rather than by a
+pass over its whole storage. The SteadyState it returns keeps l, its rcond
+and residual.
 
 Propagation works on the coordinates and lives only here, and every path
 takes its exponential from _scaled_exponential: a truncated Taylor series
@@ -62,7 +71,7 @@ import numpy as np
 # the package first: with a scipy.linalg submodule as the first import,
 # `import ddesim` took about 2 ms longer
 import scipy.linalg
-from scipy.linalg.lapack import dgbcon, dgbtrf, dgbtrs, dgecon, dgetrf, dgetrs, dlangb, dlange
+from scipy.linalg.lapack import dgbcon, dgbtrf, dgbtrs, dgecon, dgetrf, dgetrs, dlange
 
 from .operators import (
     EIG_TOL,
@@ -188,7 +197,13 @@ def build_liouvillian(h: np.ndarray, jumps: list[JumpTerm] | tuple[JumpTerm, ...
     W+ (K X) W, so K enters once, doubled. Each entry S[p, q] adds
     Re(conj(W[p, a]) S[p, q] W[q, b]) to L_H[a, b] for the at most two basis
     columns a of position p and b of position q, and one bincount sums all
-    of them. The result is read-only.
+    of them per written entry of L_H. The gathers, positions and bins of
+    that scatter (_scatter_structure) are read from a cache of eight
+    entries keyed on d and on the nonzero patterns of K and of the live
+    L_j, so only the values are computed on each call, from the same
+    expressions in the same order as without the cache. The finiteness
+    check reads only the entries the scatter wrote; all others are exact
+    zeros. The result is read-only.
 
     Parameters
     ----------
@@ -205,7 +220,9 @@ def build_liouvillian(h: np.ndarray, jumps: list[JumpTerm] | tuple[JumpTerm, ...
     ValueError
         If h is not square or not Hermitian, the layout or a jump operator
         (whatever its rate) does not match its dimension, or the generator
-        has a non-finite entry.
+        has a non-finite entry: from a NaN rate or a NaN in a live
+        operator, say, or from finite terms whose sum at one entry
+        overflows. An operator of rate 0 is never read.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -222,21 +239,26 @@ def build_liouvillian(h: np.ndarray, jumps: list[JumpTerm] | tuple[JumpTerm, ...
         if j.operator.shape != (d, d):
             raise ValueError(f"jump operator shape {j.operator.shape} does not match dim {d}")
     n = d * d
-    index, weights = _generator_scatter(h, jumps)
-    generator = np.bincount(index, weights, minlength=n * n).reshape(n, n)
-    if not np.all(np.isfinite(generator)):
+    written, values = _generator_scatter(h, jumps, _cached_scatter_structure)
+    # every entry outside written is an exact 0
+    if not np.all(np.isfinite(values)):
         raise ValueError("generator has non-finite entries")
-
+    generator = np.zeros(n * n)
+    generator[written] = values
+    generator = generator.reshape(n, n)
     generator.flags.writeable = False
     return Liouvillian(layout, generator)
 
 
-def _generator_scatter(h: np.ndarray, jumps) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices into the d^2 x d^2 generator L_H and the real weights summed there.
+def _generator_scatter(h: np.ndarray, jumps, structure_of) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted flat positions in the d^2 x d^2 generator L_H that its terms write, and their values.
 
-    The scatter of build_liouvillian, before its bincount: L_H is
-    np.bincount(index, weights) reshaped. h and the jump operators must
-    already be validated as d x d.
+    L_H is zero elsewhere. This is the value part of build_liouvillian's
+    scatter: K, the rates and the entries of the live jump operators are
+    gathered through the structure of their nonzero patterns that
+    structure_of (_scatter_structure or its cache) returns, weighted by the
+    W coefficients of its positions and summed into its bins by one
+    bincount. h and the jump operators must already be validated as d x d.
     """
     d = h.shape[0]
     k = -1j * h
@@ -245,26 +267,70 @@ def _generator_scatter(h: np.ndarray, jumps) -> tuple[np.ndarray, np.ndarray]:
         if j.rate != 0.0:
             live.append(j)
             k -= 0.5 * j.rate * (j.operator.conj().T @ j.operator)
-
-    # channel entries: every pair of nonzeros of one operator
     rates = np.array([j.rate for j in live])
     ops = np.array([j.operator for j in live], dtype=complex).reshape(-1, d, d)
-    chan, x, u = np.nonzero(ops)
-    op_vals = ops[chan, x, u]
+    k_entries, first, second, channel, (p, q), bins, written = structure_of(
+        d, (k != 0).tobytes(), (ops != 0).tobytes())
+
+    ops = ops.reshape(-1)
+    vals = np.concatenate((np.repeat(2.0 * k.reshape(-1)[k_entries], d),
+                           rates[channel] * ops[first] * ops[second].conj()))
+    coef = _basis_map(d)[1]
+    weights = (coef.take(p, axis=1).conj()[:, None] * (coef.take(q, axis=1) * vals)[None]).real
+    return written, np.bincount(bins, weights.reshape(-1), minlength=written.size)
+
+
+def _scatter_structure(d: int, k_pattern: bytes, op_pattern: bytes) -> tuple[np.ndarray, ...]:
+    """Gathers, positions and bins of the scatter of L_H, as read-only arrays.
+
+    The tuple is (k_entries, first, second, channel, positions, bins,
+    written). k_pattern is (K != 0).tobytes() of K and op_pattern that of
+    the live jump operators stacked as a (channels, d, d) array, both in C
+    order. The superoperator is the sum of the terms X -> B X A+ with entries
+    S[x + y d, u + v d] = B[x, u] conj(A[y, v]). K X + X K+ contributes
+    2 K[x, u] at every y = v (build_liouvillian), so k_entries holds the
+    flat positions of the nonzeros of K, whose values are repeated over the
+    d values of y. Each channel contributes rate L[x, u] conj(L[y, v]) for
+    every pair of nonzeros of its operator: first and second hold their
+    flat positions in the stack and channel the index of its rate.
+    positions holds the (p, q) of each of these m entries S[p, q], which
+    adds Re(conj(W[p, a]) S[p, q] W[q, b]) to L_H[a, b] for the at most two
+    basis columns a of position p and b of position q; written holds the
+    sorted flat positions in L_H of the 4 m products and bins the index
+    into written of each. The arrays use the narrowest of int16 and int32
+    that holds their values; written stays intp, which the scatter into the
+    generator takes without a conversion.
+    """
+    n = d * d
+    k_entries = np.flatnonzero(np.frombuffer(k_pattern, dtype=bool))
+    entries = np.flatnonzero(np.frombuffer(op_pattern, dtype=bool))
+    chan, x, u = np.unravel_index(entries, (len(op_pattern) // n, d, d))
+    # channel entries: every pair of nonzeros of one operator
     a, b = np.nonzero(chan[:, None] == chan[None, :])
     # K entries: K[x, u] at every y = v
-    kx, ku = np.nonzero(k)
+    kx, ku = np.divmod(k_entries, d)
     offsets = np.arange(d) * d
     p = np.concatenate(((kx[:, None] + offsets).ravel(), x[a] + x[b] * d))
     q = np.concatenate(((ku[:, None] + offsets).ravel(), u[a] + u[b] * d))
-    vals = np.concatenate((np.repeat(2.0 * k[kx, ku], d),
-                           rates[chan[a]] * op_vals[a] * op_vals[b].conj()))
-
-    n = d * d
-    col, coef = _basis_map(d)
+    col = _basis_map(d)[0]
     index = col.take(p, axis=1)[:, None] * n + col.take(q, axis=1)[None]
-    weights = (coef.take(p, axis=1).conj()[:, None] * (coef.take(q, axis=1) * vals)[None]).real
-    return index.ravel(), weights.ravel()
+    written, bins = np.unique(index, return_inverse=True)
+    structure = (*(_narrow(i) for i in (k_entries, entries[a], entries[b], chan[a],
+                                        np.stack((p, q)), bins.reshape(-1))), written)
+    for array in structure:
+        array.flags.writeable = False
+    return structure
+
+
+def _narrow(index: np.ndarray) -> np.ndarray:
+    """index as int16 or int32, whichever is the narrowest that holds its values."""
+    top = int(index.max(initial=0))
+    return index.astype(np.int16 if top < 2 ** 15 else np.int32 if top < 2 ** 31 else np.intp)
+
+
+# build_liouvillian's structures; the 8 of the full model at n_max 2 to 5,
+# with and without a boson drive, hold 0.8 MB
+_cached_scatter_structure = functools.lru_cache(maxsize=8)(_scatter_structure)
 
 
 _SQRT_HALF = np.sqrt(0.5)
@@ -578,6 +644,7 @@ class _Band(NamedTuple):
     order: np.ndarray
     src: np.ndarray
     dst: np.ndarray
+    col: np.ndarray
     border: np.ndarray
 
 
@@ -612,10 +679,10 @@ def _band_plan(dims: tuple[int, ...], pattern: bytes) -> _Band:
     0.55-0.8x the flop rate of dgetrf from n = 400 to 1936 at one BLAS
     thread). The plan holds the flat indices src of the in-band entries of
     L_H outside the row of coordinate 0, their positions dst in the
-    Fortran-ordered (2 kl + ku + 1) x n band storage of dgbtrf, and the
-    positions of the ones of the trace border within the band (the
-    diagonal coordinates up to ku). Only the pattern is read, so NaN
-    entries count as nonzero.
+    Fortran-ordered (2 kl + ku + 1) x n band storage of dgbtrf and their
+    columns col there, and the positions of the ones of the trace border
+    within the band (the diagonal coordinates up to ku). Only the pattern
+    is read, so NaN entries count as nonzero.
     """
     order = _coordinate_order(dims)
     n = order.size
@@ -630,7 +697,8 @@ def _band_plan(dims: tuple[int, ...], pattern: bytes) -> _Band:
     live = row != 0
     diag = rank[:math.prod(dims)]
     diag = diag[diag <= ku]
-    plan = _Band(kl, ku, pays, order, src[live], col[live] * ldab + kl + ku + row[live] - col[live],
+    row, col = row[live], col[live]
+    plan = _Band(kl, ku, pays, order, src[live], col * ldab + kl + ku + row - col, _narrow(col),
                  diag * ldab + kl + ku - diag)
     for a in plan[3:]:
         a.flags.writeable = False
@@ -658,7 +726,9 @@ def _bordered_kernel(g: np.ndarray, band: _Band | None) -> tuple[np.ndarray, flo
     by the trace row. Otherwise g is permuted to the coordinate order and
     the row of coordinate 0 holds the in-band part of the trace row; its
     kernel direction is the same, and the trace normalization follows the
-    solve either way.
+    solve either way. The 1-norm that the rcond estimate needs is summed,
+    per column, from the entries gathered into the band and the ones of the
+    border, instead of by a pass over the whole band storage (dlangb).
 
     Raises
     ------
@@ -681,11 +751,12 @@ def _bordered_kernel(g: np.ndarray, band: _Band | None) -> tuple[np.ndarray, flo
         kl, ku = band.kl, band.ku
         ab = np.zeros((2 * kl + ku + 1, n), order="F")
         flat = ab.reshape(-1, order="F")
-        flat[band.dst] = g.reshape(-1)[band.src]
+        entries = g.reshape(-1)[band.src]
+        flat[band.dst] = entries
         flat[band.border] = 1.0
-        # the kl rows above the band are zero, so the band with kl + ku
-        # superdiagonals has the same norm
-        anorm = dlangb("1", kl, kl + ku, ab)
+        colsum = np.bincount(band.col, np.abs(entries), minlength=n)
+        colsum[band.border // ab.shape[0]] += 1.0
+        anorm = float(np.max(colsum))
         lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=True)
         rcond = dgbcon(kl, ku, lu, piv, anorm)[0] if info == 0 else 0.0
     if rcond < RCOND_TOL:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liouvillian import JumpTerm, Liouvillian, _generator_scatter
+from .liouvillian import JumpTerm, Liouvillian, _generator_scatter, _scatter_structure
 from .operators import (
     SIGMA_MINUS,
     SIGMA_PLUS,
@@ -166,11 +166,13 @@ def _affine_generator(n_max: int, relaxation_operator: str) -> tuple[np.ndarray,
     nonzero. At those positions, coef[:, 0] is L_0, the model with every
     linear parameter 0 (boson decay only), and coef[:, 1 + k] is
     G_k = L(p_k = 1) - L_0 for the k-th of _LINEAR_FIELDS. Each model's
-    generator is summed from build_liouvillian's own scatter.
+    generator is summed from build_liouvillian's own scatter, with its
+    structure built uncached: these thirteen one-off patterns stay out of
+    build_liouvillian's cache, and out of every forked map worker.
     """
     base = FullModelParams(n_max=n_max, relaxation_operator=relaxation_operator,
                            **dict.fromkeys(_LINEAR_FIELDS, 0.0))
-    scatters = [_generator_scatter(*build_full_model(q)[:2])
+    scatters = [_generator_scatter(*build_full_model(q)[:2], _scatter_structure)
                 for q in (base, *(dataclasses.replace(base, **{name: 1.0})
                                   for name in _LINEAR_FIELDS))]
     index = np.unique(np.concatenate([i for i, _ in scatters]))

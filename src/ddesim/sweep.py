@@ -25,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import multiprocessing
+import pickle
 import sys
 import time
 import traceback
@@ -186,14 +187,22 @@ def _run_share(sender, jobs) -> None:
     """Worker body: evaluate jobs in order and send their (cell, seconds) pairs as one message.
 
     Any exception, interrupts included, is sent in place of the list with
-    its formatted traceback, and the parent re-raises it. _evaluate_cell is
-    looked up at call time, so a replacement of it in the parent also runs
-    here.
+    its formatted traceback, and the parent re-raises it. An exception that
+    does not survive a pickle round trip (a class whose constructor cannot
+    be called with its args, say) would fail in the parent's receive and
+    lose the traceback; a RuntimeError naming its class and message is sent
+    in its place. _evaluate_cell is looked up at call time, so a
+    replacement of it in the parent also runs here.
     """
     try:
         message = [_evaluate_cell(job) for job in jobs]
     except BaseException as exc:
         message = exc, traceback.format_exc()
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:
+            name = f"{type(exc).__module__}.{type(exc).__qualname__}"
+            message = RuntimeError(f"{name}: {exc}"), message[1]
     sender.send(message)
 
 
@@ -250,7 +259,8 @@ def run_sweep(spec: GridSpec, workers: int = 1) -> SweepResult:
     instead of each building them on its first cell, and other platforms
     keep their default start method. Rows come back in grid order for any
     worker count. A NumericalError flags its cell; any other exception, in a
-    worker too, propagates with its class.
+    worker too, propagates with its class, or as a RuntimeError naming it
+    where a worker cannot pickle it back.
     """
     if not _is_integer(workers) or workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers!r}")

@@ -103,8 +103,82 @@ def test_build_liouvillian_rejects_non_hermitian():
 
 
 def test_build_liouvillian_rejects_non_finite_generator():
+    # only the entries the scatter writes are checked; every other entry is
+    # an exact 0, so the verdict is that of a check of the whole generator
     with pytest.raises(ValueError, match="non-finite"):
         build_liouvillian(np.zeros((2, 2)), [JumpTerm(np.nan, SIGMA_MINUS)])
+    # finite terms whose sum overflows: L_H[2, 3], the coupling of
+    # Re rho_01 to Im rho_01, is h_00 - h_11 = 1.6e308 from h and 0.8e308
+    # from the channel, each written finite and their sum past 1.8e308
+    h = np.diag([0.8e308, -0.8e308])
+    rotation = JumpTerm(0.8e308, np.diag([1.0, 1j]))
+    for terms in ((h, []), (np.zeros((2, 2)), [rotation])):
+        assert np.isfinite(build_liouvillian(*terms).generator).all()
+    with pytest.raises(ValueError, match="non-finite"):
+        build_liouvillian(h, [rotation])
+    # a NaN in a live operator is a NaN entry; in a rate-0 one it is never read
+    broken = SIGMA_MINUS.astype(complex)
+    broken[1, 1] = np.nan
+    decay = JumpTerm(1.0, SIGMA_MINUS)
+    with pytest.raises(ValueError, match="non-finite"):
+        build_liouvillian(np.zeros((2, 2)), [decay, JumpTerm(0.5, broken)])
+    liou = build_liouvillian(np.zeros((2, 2)), [decay, JumpTerm(0.0, broken)])
+    assert np.array_equal(liou.generator, build_liouvillian(np.zeros((2, 2)), [decay]).generator)
+
+
+def direct_generator(h, jumps):
+    """Reference L_H: the scatter of build_liouvillian without a cached structure.
+
+    The index arithmetic over the nonzeros of K and of each live operator
+    redone on every call, the W weights and one bincount over all d^4
+    entries; the weights are the same expressions in the same order as
+    build_liouvillian's, so its generator must be bitwise this one.
+    """
+    d = h.shape[0]
+    k = -1j * np.asarray(h, dtype=complex)
+    live = [j for j in jumps if j.rate != 0.0]
+    for j in live:
+        k -= 0.5 * j.rate * (j.operator.conj().T @ j.operator)
+    rates = np.array([j.rate for j in live])
+    ops = np.array([j.operator for j in live], dtype=complex).reshape(-1, d, d)
+    chan, x, u = np.nonzero(ops)
+    op_vals = ops[chan, x, u]
+    a, b = np.nonzero(chan[:, None] == chan[None, :])
+    kx, ku = np.nonzero(k)
+    offsets = np.arange(d) * d
+    p = np.concatenate(((kx[:, None] + offsets).ravel(), x[a] + x[b] * d))
+    q = np.concatenate(((ku[:, None] + offsets).ravel(), u[a] + u[b] * d))
+    vals = np.concatenate((np.repeat(2.0 * k[kx, ku], d),
+                           rates[chan[a]] * op_vals[a] * op_vals[b].conj()))
+    n = d * d
+    col, coef = liouvillian_module._basis_map(d)
+    index = col.take(p, axis=1)[:, None] * n + col.take(q, axis=1)[None]
+    weights = (coef.take(p, axis=1).conj()[:, None] * (coef.take(q, axis=1) * vals)[None]).real
+    return np.bincount(index.ravel(), weights.ravel(), minlength=n * n).reshape(n, n)
+
+
+def reset_jump_model():
+    """The n_max 5 model with |0><n_max| on the boson, far outside the model's band."""
+    p = FullModelParams(n_max=5)
+    h, jumps, layout = build_full_model(p)
+    reset = np.zeros((p.n_max + 1, p.n_max + 1))
+    reset[0, p.n_max] = 1.0
+    return h, (*jumps, JumpTerm(0.1, embed(reset, 2, layout))), layout
+
+
+def test_generator_is_bitwise_the_direct_scatter_and_reuses_its_structure():
+    # two points with one nonzero pattern share one cached structure, and
+    # each generator is bitwise the uncached scatter's
+    cache = liouvillian_module._cached_scatter_structure
+    cache.cache_clear()
+    for delta0 in (0.01, 0.02):
+        h, jumps, layout = build_full_model(FullModelParams(n_max=3, delta0=delta0))
+        assert np.array_equal(build_liouvillian(h, jumps, layout).generator,
+                              direct_generator(h, jumps))
+    assert cache.cache_info()[:2] == (1, 1)  # hits, misses
+    h, jumps, layout = reset_jump_model()
+    assert np.array_equal(build_liouvillian(h, jumps, layout).generator,
+                          direct_generator(h, jumps))
 
 
 def kron_assembly(h, jumps):
@@ -361,7 +435,7 @@ def test_near_degenerate_kernel_threshold():
 
 def recording(factored, name, real):
     def factor(a, *args, **kwargs):
-        factored.append((name, a.shape, a.dtype))
+        factored.append((name, np.shape(a), np.asarray(a).dtype))
         return real(a, *args, **kwargs)
     return factor
 
@@ -415,11 +489,8 @@ def test_band_keeps_a_jump_across_the_whole_boson_ladder():
     # |0><n_max| on the boson couples the populations of levels n_max and 0,
     # far outside the band of the model; the measured band must hold every
     # nonzero entry of the generator, whether or not it then pays
-    p = FullModelParams(n_max=5)
-    h, jumps, layout = build_full_model(p)
-    reset = np.zeros((p.n_max + 1, p.n_max + 1))
-    reset[0, p.n_max] = 1.0
-    liou = build_liouvillian(h, [*jumps, JumpTerm(0.1, embed(reset, 2, layout))], layout)
+    h, jumps, layout = reset_jump_model()
+    liou = build_liouvillian(h, jumps, layout)
     g = liou.generator
     band = liouvillian_module._band_plan(layout.dims, np.packbits(g != 0).tobytes())
     order = liouvillian_module._coordinate_order(layout.dims)
@@ -436,6 +507,35 @@ def test_band_keeps_a_jump_across_the_whole_boson_ladder():
     assert np.abs(liouvillian_module._bordered_kernel(g, band)[0] - dense).max() < 1e-12
     rho = steady_state(liou)
     assert np.abs(rho.matrix - unvec(liouvillian_module._hermitian_vec(dense))).max() < 1e-12
+
+
+def test_banded_solve_takes_its_norm_from_the_gathered_entries(monkeypatch):
+    # the 1-norm dgbcon needs is summed per column from the entries gathered
+    # into the band and the ones of the trace border, with no dlangb pass
+    # over the band storage; it is dlangb's norm up to the summation order
+    calls, norms = [], []
+    real_dlangb = scipy.linalg.lapack.dlangb
+    monkeypatch.setattr(scipy.linalg.lapack, "dlangb", recording(calls, "dlangb", real_dlangb))
+    monkeypatch.setattr(liouvillian_module, "dlangb", recording(calls, "dlangb", real_dlangb),
+                        raising=False)
+    real_dgbtrf, real_dgbcon = liouvillian_module.dgbtrf, liouvillian_module.dgbcon
+
+    def dgbtrf(ab, kl, ku, **kwargs):
+        norms.append(real_dlangb("1", kl, kl + ku, ab))
+        return real_dgbtrf(ab, kl, ku, **kwargs)
+
+    def dgbcon(kl, ku, lu, piv, anorm):
+        norms.append(anorm)
+        return real_dgbcon(kl, ku, lu, piv, anorm)
+
+    monkeypatch.setattr(liouvillian_module, "dgbtrf", dgbtrf)
+    monkeypatch.setattr(liouvillian_module, "dgbcon", dgbcon)
+    for model in (build_full_model(FullModelParams(n_max=5, eta_a=0.3)), reset_jump_model()):
+        norms.clear()
+        steady_state(build_liouvillian(*model))
+        want, got = norms
+        assert got == pytest.approx(want, rel=8 * np.finfo(float).eps)
+    assert calls == []
 
 
 @pytest.mark.parametrize("n_max", [2, 5], ids=["dense", "banded"])

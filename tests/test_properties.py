@@ -39,7 +39,7 @@ from ddesim.liouvillian import (
 )
 from ddesim.observables import _emission_operators, _emission_setup
 from ddesim.operators import QUBIT_NUMBER, SIGMA_MINUS, SIGMA_PLUS
-from test_liouvillian import EXPONENTIAL_RTOL, exponential_error, kron_assembly
+from test_liouvillian import EXPONENTIAL_RTOL, direct_generator, exponential_error, kron_assembly
 
 PROPERTY_SETTINGS = settings(max_examples=10, deadline=None, derandomize=True,
                              database=None)
@@ -240,6 +240,19 @@ def test_hermitian_basis_generator_and_coordinates(p, seed):
     # coordinates round-trip Hermitian matrices and preserve Tr(AB)
     assert np.abs(unvec(_hermitian_vec(ca)) - a).max() < 1e-14
     assert abs(ca @ cb - np.trace(a @ b).real) < 1e-14 * np.linalg.norm(a) * np.linalg.norm(b)
+
+
+@PROPERTY_SETTINGS
+@given(params_strategy, st.lists(st.booleans(), min_size=4, max_size=4), st.integers(1, 3))
+def test_cached_assembly_is_bitwise_the_direct_scatter(p, dropped, n_max):
+    # a rate drawn as 0 drops its channel, which changes the nonzero
+    # patterns the cached structure is keyed on
+    rates = ("gamma_r0", "gamma_r1", "gamma_d0", "gamma_d1")
+    p = dataclasses.replace(p, n_max=n_max,
+                            **{name: 0.0 for name, drop in zip(rates, dropped) if drop})
+    h, jumps, layout = build_full_model(p)
+    assert np.array_equal(build_liouvillian(h, jumps, layout).generator,
+                          direct_generator(h, jumps))
 
 
 @PROPERTY_SETTINGS

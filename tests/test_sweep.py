@@ -317,6 +317,29 @@ def test_fan_out_raises_a_worker_exception_with_its_class(monkeypatch, bug):
     assert multiprocessing.active_children() == []
 
 
+class Odd(Exception):
+    """An exception whose class cannot be rebuilt from its args."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a}/{b}")
+
+
+@forked
+def test_fan_out_reports_an_exception_that_cannot_be_sent_back(monkeypatch):
+    # unpickling Odd calls Odd("1/2") and fails; sent as it is, it would
+    # end in that TypeError in the parent, without the worker's traceback,
+    # so the worker sends a RuntimeError that names the class and message
+    def solve(liouvillian):
+        raise Odd(1, 2)
+
+    monkeypatch.setattr(ddesim.sweep, "steady_state", solve)
+    with deadline(60), pytest.raises(RuntimeError, match=rf"^{Odd.__module__}\.Odd: 1/2$") as raised:
+        run_sweep(small_grid_spec(), workers=2)
+    assert isinstance(raised.value.__cause__, ddesim.sweep.WorkerTraceback)
+    assert "in solve" in str(raised.value.__cause__)
+    assert multiprocessing.active_children() == []
+
+
 @forked
 def test_fan_out_raises_when_a_worker_dies_and_stops_the_others(monkeypatch):
     # worker 0 of 2 dies on its second cell while worker 1 is still on its
