@@ -1,7 +1,7 @@
 """Lindblad generators: construction, propagation, steady states.
 
 The generator rho_dot = -i[H, rho] + sum_k gamma_k (L_k rho L_k+ - {L_k+ L_k, rho}/2)
-is stored as one real matrix. The orthonormal Hermitian basis
+is one real matrix. The orthonormal Hermitian basis
 {E_ii, (E_ij + E_ji)/sqrt(2), i (E_ij - E_ji)/sqrt(2) : i < j} is the
 unitary W on column-stacked vectorized matrices, vec(A X B) =
 (B^T kron A) vec(X), with at most two nonzeros per column. L maps Hermitian
@@ -13,16 +13,13 @@ L_H is assembled from the nonzero entries of the effective non-Hermitian
 Hamiltonian K = -i H - (1/2) sum_k gamma_k L_k+ L_k and of the jump
 operators, never from the complex superoperator: each entry
 B[x, u] conj(A[y, v]) of a term X -> B X A+ lands on at most four entries of
-L_H. One bincount sums them per written entry, and the sums are placed into
-an otherwise zero dense array. Where the terms land, which entries they are
-gathered from and which W coefficients weight them depend only on d and on
-the nonzero patterns of K and of the live jump operators; build_liouvillian
-keeps that structure in a cache keyed on those patterns (eight entries), so
-a call with a known pattern only gathers, weights and sums the values.
-Finiteness is checked on the written entries alone: every other entry of
-L_H is an exact 0. The same scatter, uncached, is what
-models.full_model_liouvillian tabulates once per model structure, so that a
-parameter map evaluates each cell's L_H as one linear combination.
+L_H, and one bincount sums them per written entry (build_liouvillian, which
+caches the structure of that scatter per nonzero pattern). The same
+scatter, uncached, is what models.full_model_liouvillian tabulates once per
+model structure, so that a parameter map evaluates each cell's L_H as one
+linear combination. A Liouvillian stores only the written entries (7.7 k of
+332 k at n_max 5), which the steady-state solve reads; propagation and the
+oracles read the dense L_H built from them on first access.
 
 The steady state is one real LU solve of L_H with the trace condition
 substituted for the row of coordinate 0 (rho[0, 0]). Sorted by the key
@@ -38,10 +35,7 @@ to n_max 3 and banded from n_max 4. In the banded solve the row of
 coordinate 0, the first in that order, holds only the in-band part of the
 trace row (the populations of the lowest boson levels): the kernel
 direction is the same, and the full trace normalizes the solution
-afterwards. The 1-norm of the bordered band, which the rcond estimate
-needs, is summed from the entries gathered into the band rather than by a
-pass over its whole storage. The SteadyState it returns keeps l, its rcond
-and residual.
+afterwards. The SteadyState it returns keeps l, its rcond and residual.
 
 Propagation works on the coordinates and lives only here, and every path
 takes its exponential from _scaled_exponential: a truncated Taylor series
@@ -159,28 +153,39 @@ def unvec(v: np.ndarray) -> np.ndarray:
     return v.reshape((d, d), order="F")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Liouvillian:
-    """Lindblad generator on a labeled space, stored as the real matrix L_H = W+ L W.
+    """Lindblad generator on a labeled space: the stored entries of the real L_H = W+ L W.
 
-    generator acts on the real coordinates of the Hermitian basis (module
-    docstring) and is read-only; every solver and propagation path reads it.
-    Immutable after construction; safe to share across sweep workers.
+    index holds the sorted flat positions of the stored entries in the
+    d^2 x d^2 L_H, row_col np.divmod(index, d^2) as a (2, nnz) array and
+    values the entries (exact zeros among them); all others are exact 0.
+    The dense L_H, generator, is built on first access and kept. Read-only
+    arrays; immutable, safe to share across sweep workers, compared by identity.
     """
 
     layout: SpaceLayout
-    generator: np.ndarray = field(repr=False)
+    index: np.ndarray = field(repr=False)
+    row_col: np.ndarray = field(repr=False)
+    values: np.ndarray = field(repr=False)
 
     @property
     def dim(self) -> int:
         return self.layout.total_dim
 
+    @functools.cached_property
+    def generator(self) -> np.ndarray:
+        """The dense d^2 x d^2 L_H, read-only: scattered from index and values on first access."""
+        generator = np.zeros((self.dim ** 2,) * 2)
+        generator.reshape(-1)[self.index] = self.values
+        generator.flags.writeable = False
+        return generator
+
     @property
     def superop(self) -> np.ndarray:
-        """Complex superoperator W L_H W+ on column-stacked vec(rho).
+        """Complex superoperator W L_H W+ on column-stacked vec(rho), rebuilt on every access.
 
-        Rebuilt from the generator on every access, for oracles: d(rho)/dt is
-        unvec(superop @ vec(rho)). No solver or propagation path reads it.
+        For oracles: d(rho)/dt is unvec(superop @ vec(rho)); no solver or propagation reads it.
         """
         return _hermitian_vec(_hermitian_vec(self.generator).conj().T).conj().T
 
@@ -197,13 +202,10 @@ def build_liouvillian(h: np.ndarray, jumps: list[JumpTerm] | tuple[JumpTerm, ...
     W+ (K X) W, so K enters once, doubled. Each entry S[p, q] adds
     Re(conj(W[p, a]) S[p, q] W[q, b]) to L_H[a, b] for the at most two basis
     columns a of position p and b of position q, and one bincount sums all
-    of them per written entry of L_H. The gathers, positions and bins of
-    that scatter (_scatter_structure) are read from a cache of eight
-    entries keyed on d and on the nonzero patterns of K and of the live
-    L_j, so only the values are computed on each call, from the same
-    expressions in the same order as without the cache. The finiteness
-    check reads only the entries the scatter wrote; all others are exact
-    zeros. The result is read-only.
+    of them per written entry of L_H. Its structure is cached per pattern
+    (_scatter_structure), and the Liouvillian stores the written entries,
+    sums of 0 included; all others are exact zeros, so only they are
+    checked finite.
 
     Parameters
     ----------
@@ -238,26 +240,19 @@ def build_liouvillian(h: np.ndarray, jumps: list[JumpTerm] | tuple[JumpTerm, ...
     for j in jumps:
         if j.operator.shape != (d, d):
             raise ValueError(f"jump operator shape {j.operator.shape} does not match dim {d}")
-    n = d * d
-    written, values = _generator_scatter(h, jumps, _cached_scatter_structure)
-    # every entry outside written is an exact 0
+    written, row_col, values = _generator_scatter(h, jumps, _cached_scatter_structure)
     if not np.all(np.isfinite(values)):
         raise ValueError("generator has non-finite entries")
-    generator = np.zeros(n * n)
-    generator[written] = values
-    generator = generator.reshape(n, n)
-    generator.flags.writeable = False
-    return Liouvillian(layout, generator)
+    values.flags.writeable = False
+    return Liouvillian(layout, written, row_col, values)
 
 
-def _generator_scatter(h: np.ndarray, jumps, structure_of) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted flat positions in the d^2 x d^2 generator L_H that its terms write, and their values.
+def _generator_scatter(h: np.ndarray, jumps, structure_of) -> tuple[np.ndarray, ...]:
+    """Sorted flat positions in L_H that its terms write, their row_col and their values.
 
-    L_H is zero elsewhere. This is the value part of build_liouvillian's
-    scatter: K, the rates and the entries of the live jump operators are
-    gathered through the structure of their nonzero patterns that
-    structure_of (_scatter_structure or its cache) returns, weighted by the
-    W coefficients of its positions and summed into its bins by one
+    K, the rates and the live jump operators' entries are gathered through
+    structure_of(d, patterns) (_scatter_structure or its cache), weighted
+    by the W coefficients of its positions and summed into its bins by one
     bincount. h and the jump operators must already be validated as d x d.
     """
     d = h.shape[0]
@@ -269,7 +264,7 @@ def _generator_scatter(h: np.ndarray, jumps, structure_of) -> tuple[np.ndarray, 
             k -= 0.5 * j.rate * (j.operator.conj().T @ j.operator)
     rates = np.array([j.rate for j in live])
     ops = np.array([j.operator for j in live], dtype=complex).reshape(-1, d, d)
-    k_entries, first, second, channel, (p, q), bins, written = structure_of(
+    k_entries, first, second, channel, (p, q), bins, written, row_col = structure_of(
         d, (k != 0).tobytes(), (ops != 0).tobytes())
 
     ops = ops.reshape(-1)
@@ -277,29 +272,27 @@ def _generator_scatter(h: np.ndarray, jumps, structure_of) -> tuple[np.ndarray, 
                            rates[channel] * ops[first] * ops[second].conj()))
     coef = _basis_map(d)[1]
     weights = (coef.take(p, axis=1).conj()[:, None] * (coef.take(q, axis=1) * vals)[None]).real
-    return written, np.bincount(bins, weights.reshape(-1), minlength=written.size)
+    return written, row_col, np.bincount(bins, weights.reshape(-1), minlength=written.size)
 
 
 def _scatter_structure(d: int, k_pattern: bytes, op_pattern: bytes) -> tuple[np.ndarray, ...]:
     """Gathers, positions and bins of the scatter of L_H, as read-only arrays.
 
     The tuple is (k_entries, first, second, channel, positions, bins,
-    written). k_pattern is (K != 0).tobytes() of K and op_pattern that of
-    the live jump operators stacked as a (channels, d, d) array, both in C
-    order. The superoperator is the sum of the terms X -> B X A+ with entries
-    S[x + y d, u + v d] = B[x, u] conj(A[y, v]). K X + X K+ contributes
-    2 K[x, u] at every y = v (build_liouvillian), so k_entries holds the
-    flat positions of the nonzeros of K, whose values are repeated over the
-    d values of y. Each channel contributes rate L[x, u] conj(L[y, v]) for
-    every pair of nonzeros of its operator: first and second hold their
-    flat positions in the stack and channel the index of its rate.
-    positions holds the (p, q) of each of these m entries S[p, q], which
-    adds Re(conj(W[p, a]) S[p, q] W[q, b]) to L_H[a, b] for the at most two
-    basis columns a of position p and b of position q; written holds the
-    sorted flat positions in L_H of the 4 m products and bins the index
-    into written of each. The arrays use the narrowest of int16 and int32
-    that holds their values; written stays intp, which the scatter into the
-    generator takes without a conversion.
+    written, row_col). k_pattern is (K != 0).tobytes() of K and op_pattern
+    that of the live jump operators stacked as a (channels, d, d) array,
+    both in C order. K X + X K+ contributes 2 K[x, u] to
+    S[x + y d, u + v d] at every y = v (build_liouvillian), so k_entries
+    holds the flat positions of the nonzeros of K, whose values are
+    repeated over the d values of y. Each channel contributes
+    rate L[x, u] conj(L[y, v]) for every pair of nonzeros of its operator:
+    first and second hold their flat positions in the stack and channel
+    the index of its rate. positions holds the (p, q) of each of these m
+    entries S[p, q], which adds Re(conj(W[p, a]) S[p, q] W[q, b]) to
+    L_H[a, b] for the at most two basis columns a of p and b of q; written
+    holds the sorted flat positions in L_H of the 4 m products (with their
+    row_col) and bins the index into written of each. The others are int16
+    or int32 (_narrow); written and row_col stay intp, as indexing takes it.
     """
     n = d * d
     k_entries = np.flatnonzero(np.frombuffer(k_pattern, dtype=bool))
@@ -316,7 +309,8 @@ def _scatter_structure(d: int, k_pattern: bytes, op_pattern: bytes) -> tuple[np.
     index = col.take(p, axis=1)[:, None] * n + col.take(q, axis=1)[None]
     written, bins = np.unique(index, return_inverse=True)
     structure = (*(_narrow(i) for i in (k_entries, entries[a], entries[b], chan[a],
-                                        np.stack((p, q)), bins.reshape(-1))), written)
+                                        np.stack((p, q)), bins.reshape(-1))),
+                 written, np.array(np.divmod(written, n)))
     for array in structure:
         array.flags.writeable = False
     return structure
@@ -329,7 +323,7 @@ def _narrow(index: np.ndarray) -> np.ndarray:
 
 
 # build_liouvillian's structures; the 8 of the full model at n_max 2 to 5,
-# with and without a boson drive, hold 0.8 MB
+# with and without a boson drive, hold 1.7 MB
 _cached_scatter_structure = functools.lru_cache(maxsize=8)(_scatter_structure)
 
 
@@ -606,10 +600,8 @@ def steady_state(l: Liouvillian) -> SteadyState:
     One real LU solve of L_H bordered by the trace condition, the sum of
     the diagonal coordinates, in place of the row of coordinate 0. The
     solution is trace-normalized and is Hermitian by construction. The LU
-    is dense (dgetrf) unless the generator's band in the boson-number order
-    of the coordinates makes a banded LU (dgbtrf) pay, as _band_of decides
-    from its size and nonzero pattern; the full model is dense up to
-    n_max 3 and banded from n_max 4 (module docstring). The reciprocal
+    is dense (dgetrf) or banded (dgbtrf), as _band_of decides from the size
+    and the nonzero entries (module docstring). The reciprocal
     condition number from the same LU factor decides whether the kernel is
     unique. The one eigendecomposition is the positivity check of the
     DensityMatrix construction.
@@ -623,7 +615,7 @@ def steady_state(l: Liouvillian) -> SteadyState:
         If the residual is not below 1e-10 or the state has an eigenvalue
         below -1e-9.
     """
-    c, rcond = _bordered_kernel(l.generator, _band_of(l))
+    c, rcond = _bordered_kernel(l, _band_of(l))
     res = _residual(l, c)
     if not res < RESIDUAL_TOL:
         raise NumericalError(
@@ -667,38 +659,49 @@ def _coordinate_order(dims: tuple[int, ...]) -> np.ndarray:
     return order
 
 
+class _Identity:
+    """Wraps obj as a cache key compared and hashed by identity; the cache keeps obj alive."""
+
+    def __init__(self, obj):
+        self.obj = obj
+
+    def __hash__(self):
+        return id(self.obj)
+
+    def __eq__(self, other):
+        return self.obj is other.obj
+
+
 @functools.lru_cache(maxsize=8)
-def _band_plan(dims: tuple[int, ...], pattern: bytes) -> _Band:
+def _band_plan(dims: tuple[int, ...], row_col: _Identity, nonzero: bytes) -> _Band:
     """The band of a generator in the coordinate order, and whether a banded LU pays.
 
-    pattern is np.packbits(L_H != 0) of an L_H on a layout of dimensions
-    dims. In the order of _coordinate_order, L_H has kl subdiagonals and ku
-    superdiagonals. A banded LU costs about 2 n kl (kl + ku) flops against
-    2 n^3 / 3 for the dense one; it pays where it saves at least
-    BAND_MIN_SAVING flops with its own count weighted 1.5 (dgbtrf ran at
-    0.55-0.8x the flop rate of dgetrf from n = 400 to 1936 at one BLAS
-    thread). The plan holds the flat indices src of the in-band entries of
-    L_H outside the row of coordinate 0, their positions dst in the
-    Fortran-ordered (2 kl + ku + 1) x n band storage of dgbtrf and their
-    columns col there, and the positions of the ones of the trace border
-    within the band (the diagonal coordinates up to ku). Only the pattern
-    is read, so NaN entries count as nonzero.
+    row_col wraps that of an L_H on a layout of dimensions dims, and
+    nonzero is np.packbits(values != 0) of its stored values. In the order
+    of _coordinate_order, the nonzero entries lie within kl subdiagonals
+    and ku superdiagonals. A banded LU costs about 2 n kl (kl + ku) flops
+    against 2 n^3 / 3 dense; it pays where it saves BAND_MIN_SAVING flops
+    with its own count weighted 1.5 (dgbtrf ran at 0.55-0.8x the flop rate
+    of dgetrf from n = 400 to 1936 at one BLAS thread). The plan holds the
+    indices src into the values of the nonzero entries off the row of
+    coordinate 0, their positions dst in the Fortran-ordered band storage
+    of dgbtrf and columns col, and those of the border's ones (to ku).
     """
     order = _coordinate_order(dims)
     n = order.size
-    rank = np.empty(n, dtype=np.intp)
-    rank[order] = np.arange(n)
-    src = np.flatnonzero(np.unpackbits(np.frombuffer(pattern, dtype=np.uint8), count=n * n))
-    row, col = rank[src // n], rank[src % n]
+    rank = np.argsort(order)
+    rows, cols = row_col.obj
+    live = np.flatnonzero(np.unpackbits(np.frombuffer(nonzero, np.uint8), count=rows.size))
+    row, col = rank[rows[live]], rank[cols[live]]
     kl = int(np.max(row - col, initial=0))
     ku = int(np.max(col - row, initial=0))
     pays = 2 * n ** 3 / 3 - 3 * n * kl * (kl + ku) >= BAND_MIN_SAVING
     ldab = 2 * kl + ku + 1
-    live = row != 0
+    keep = np.flatnonzero(row)
     diag = rank[:math.prod(dims)]
     diag = diag[diag <= ku]
-    row, col = row[live], col[live]
-    plan = _Band(kl, ku, pays, order, src[live], col * ldab + kl + ku + row - col, _narrow(col),
+    row, col = row[keep], col[keep]
+    plan = _Band(kl, ku, pays, order, live[keep], col * ldab + kl + ku + row - col, _narrow(col),
                  diag * ldab + kl + ku - diag)
     for a in plan[3:]:
         a.flags.writeable = False
@@ -708,27 +711,26 @@ def _band_plan(dims: tuple[int, ...], pattern: bytes) -> _Band:
 def _band_of(l: Liouvillian) -> _Band | None:
     """The band plan steady_state factors the generator of l with, or None for a dense LU.
 
-    Plans are cached per nonzero pattern. A generator too small for a
-    banded LU to save BAND_MIN_SAVING flops even without off-diagonals
-    (n <= 262) is not inspected.
+    Plans are cached per row_col array by identity (one per scatter
+    structure and per table) and per nonzero (or NaN) values: a stored 0,
+    as where the table's eta_a is 0, can widen the band (kl 98 for 94 at
+    n_max 5). No n <= 262 is inspected: too small to save BAND_MIN_SAVING.
     """
-    n = l.generator.shape[0]
-    if 2 * n ** 3 / 3 < BAND_MIN_SAVING:
+    if 2 * l.dim ** 6 / 3 < BAND_MIN_SAVING:
         return None
-    band = _band_plan(l.layout.dims, np.packbits(l.generator != 0).tobytes())
+    band = _band_plan(l.layout.dims, _Identity(l.row_col), np.packbits(l.values != 0).tobytes())
     return band if band.pays else None
 
 
-def _bordered_kernel(g: np.ndarray, band: _Band | None) -> tuple[np.ndarray, float]:
-    """Coordinates of the trace-one kernel vector of L_H = g, and the rcond of its bordered LU.
+def _bordered_kernel(l: Liouvillian, band: _Band | None) -> tuple[np.ndarray, float]:
+    """Coordinates of the trace-one kernel vector of L_H, and the rcond of its bordered LU.
 
-    band None is the dense solve: g with the row of coordinate 0 replaced
-    by the trace row. Otherwise g is permuted to the coordinate order and
-    the row of coordinate 0 holds the in-band part of the trace row; its
-    kernel direction is the same, and the trace normalization follows the
-    solve either way. The 1-norm that the rcond estimate needs is summed,
-    per column, from the entries gathered into the band and the ones of the
-    border, instead of by a pass over the whole band storage (dlangb).
+    band None solves the stored entries scattered into a Fortran-ordered
+    zero matrix, the row of coordinate 0 replaced by the trace row. Else
+    band gathers them into band storage in the coordinate order, whose row
+    of coordinate 0 holds the in-band part of the trace row (the same
+    kernel direction; the trace normalizes either way), and sums its
+    1-norm for the rcond estimate per column from the gathered entries.
 
     Raises
     ------
@@ -736,12 +738,13 @@ def _bordered_kernel(g: np.ndarray, band: _Band | None) -> tuple[np.ndarray, flo
         If the bordered matrix is singular or its reciprocal condition
         number is below RCOND_TOL.
     """
-    n = g.shape[0]
-    d = math.isqrt(n)
-    b = np.zeros((n, 1))
-    b[0] = 1.0
+    d = l.dim
+    n = d * d
+    b = np.eye(n, 1)
     if band is None:
-        a = np.array(g, order="F")
+        row, col = l.row_col
+        a = np.zeros((n, n), order="F")
+        a.reshape(-1, order="F")[col * n + row] = l.values
         a[0] = 0.0
         a[0, :d] = 1.0
         anorm = dlange("1", a)
@@ -751,7 +754,7 @@ def _bordered_kernel(g: np.ndarray, band: _Band | None) -> tuple[np.ndarray, flo
         kl, ku = band.kl, band.ku
         ab = np.zeros((2 * kl + ku + 1, n), order="F")
         flat = ab.reshape(-1, order="F")
-        entries = g.reshape(-1)[band.src]
+        entries = l.values[band.src]
         flat[band.dst] = entries
         flat[band.border] = 1.0
         colsum = np.bincount(band.col, np.abs(entries), minlength=n)
@@ -775,13 +778,14 @@ def _bordered_kernel(g: np.ndarray, band: _Band | None) -> tuple[np.ndarray, flo
 def _residual(l: Liouvillian, c: np.ndarray) -> float:
     """Max-entry norm of the complex matrix L(rho) for the coordinates c of rho.
 
-    Read from the real coordinates r = L_H c without expanding them to the
-    d^2 entries: a diagonal entry is r_i, and both entries of the pair
-    (i, j), i < j, are sqrt(1/2) (r_sym +- i r_anti) of its two
-    coordinates, so one modulus per pair gives, bit for bit, what
-    _hermitian_vec would. A NaN anywhere makes the result NaN.
+    r = L_H c is one bincount over the rows of the stored entries. A
+    diagonal entry of L(rho) is r_i, and both entries of the pair (i, j),
+    i < j, are sqrt(1/2) (r_sym +- i r_anti), so one modulus per pair gives,
+    bit for bit, what _hermitian_vec would. A NaN in a stored entry, or in
+    an entry of c that one multiplies, makes the result NaN.
     """
-    r = l.generator @ c
+    row, col = l.row_col
+    r = np.bincount(row, l.values * c[col], minlength=l.dim ** 2)
     d = l.dim
     pairs = np.empty((r.size - d) // 2, dtype=complex)
     pairs.real = _SQRT_HALF * r[d:d + pairs.size]

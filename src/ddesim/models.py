@@ -159,50 +159,46 @@ def build_full_model(p: FullModelParams) -> tuple[np.ndarray, tuple[JumpTerm, ..
 
 
 @functools.lru_cache(maxsize=8)
-def _affine_generator(n_max: int, relaxation_operator: str) -> tuple[np.ndarray, np.ndarray]:
-    """Table of L_H(p) = L_0 + sum_k p_k G_k: flat indices and coefficients, read-only.
+def _affine_generator(n_max: int, relaxation_operator: str) -> tuple[np.ndarray, ...]:
+    """Table of L_H(p) = L_0 + sum_k p_k G_k: flat indices, coefficients and row_col, read-only.
 
     index holds the sorted flat positions in L_H that some term makes
-    nonzero. At those positions, coef[:, 0] is L_0, the model with every
+    nonzero (row_col as in Liouvillian). There coef[:, 0] is L_0, every
     linear parameter 0 (boson decay only), and coef[:, 1 + k] is
-    G_k = L(p_k = 1) - L_0 for the k-th of _LINEAR_FIELDS. Each model's
-    generator is summed from build_liouvillian's own scatter, with its
-    structure built uncached: these thirteen one-off patterns stay out of
-    build_liouvillian's cache, and out of every forked map worker.
+    G_k = L(p_k = 1) - L_0 for the k-th of _LINEAR_FIELDS. Each is summed
+    from build_liouvillian's own scatter, its structure built uncached:
+    these thirteen one-off patterns stay out of build_liouvillian's cache,
+    and out of every forked map worker.
     """
     base = FullModelParams(n_max=n_max, relaxation_operator=relaxation_operator,
                            **dict.fromkeys(_LINEAR_FIELDS, 0.0))
     scatters = [_generator_scatter(*build_full_model(q)[:2], _scatter_structure)
                 for q in (base, *(dataclasses.replace(base, **{name: 1.0})
                                   for name in _LINEAR_FIELDS))]
-    index = np.unique(np.concatenate([i for i, _ in scatters]))
+    index = np.unique(np.concatenate([i for i, _, _ in scatters]))
     coef = np.stack([np.bincount(np.searchsorted(index, i), w, minlength=index.size)
-                     for i, w in scatters], axis=1)
+                     for i, _, w in scatters], axis=1)
     coef[:, 1:] -= coef[:, :1]
     # positions whose terms cancel exactly in every model stay zero
     live = np.any(coef != 0.0, axis=1)
     index, coef = index[live], coef[live]
-    index.flags.writeable = coef.flags.writeable = False
-    return index, coef
+    row_col = np.array(np.divmod(index, qubit_pair_boson_layout(n_max).total_dim ** 2))
+    index.flags.writeable = coef.flags.writeable = row_col.flags.writeable = False
+    return index, coef, row_col
 
 
 def full_model_liouvillian(p: FullModelParams) -> Liouvillian:
     """Generator of the full model: build_liouvillian(*build_full_model(p)) up to roundoff.
 
-    Evaluates L_H(p) = L_0 + sum_k p_k G_k from the table cached per
-    (n_max, relaxation_operator): one (nnz x 13) matrix-vector product
-    scattered into the zero matrix, where nnz is the number of entries some
-    term makes nonzero. The generator is read-only.
+    Evaluates L_H(p) = L_0 + sum_k p_k G_k at the nnz entries that some
+    term makes nonzero, as one (nnz x 13) matrix-vector product with the
+    table cached per (n_max, relaxation_operator), and stores them with the
+    table's index and row_col; an entry whose terms p switches off is 0.
     """
-    index, coef = _affine_generator(p.n_max, p.relaxation_operator)
+    index, coef, row_col = _affine_generator(p.n_max, p.relaxation_operator)
     values = coef @ np.array([1.0, *(getattr(p, name) for name in _LINEAR_FIELDS)])
-    layout = qubit_pair_boson_layout(p.n_max)
-    n = layout.total_dim ** 2
-    generator = np.zeros(n * n)
-    generator[index] = values
-    generator = generator.reshape(n, n)
-    generator.flags.writeable = False
-    return Liouvillian(layout, generator)
+    values.flags.writeable = False
+    return Liouvillian(qubit_pair_boson_layout(p.n_max), index, row_col, values)
 
 
 def _psd_floor(rates: np.ndarray) -> float:

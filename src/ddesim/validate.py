@@ -122,7 +122,7 @@ def _check_steady_state(rng):
     # later checks see the same stream
     liou = full_model_liouvillian(FullModelParams(n_max=5, eta_a=0.3))
     assert _band_of(liou) is not None, "n_max 5 no longer takes the banded steady-state solve"
-    oracle = unvec(_hermitian_vec(_bordered_kernel(liou.generator, None)[0]))
+    oracle = unvec(_hermitian_vec(_bordered_kernel(liou, None)[0]))
     err = np.abs(steady_state(liou).matrix - oracle).max()
     assert err < 1e-12, f"banded steady state deviates from the dense solve by {err:.3e}"
 

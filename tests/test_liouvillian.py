@@ -126,6 +126,41 @@ def test_build_liouvillian_rejects_non_finite_generator():
     assert np.array_equal(liou.generator, build_liouvillian(np.zeros((2, 2)), [decay]).generator)
 
 
+def from_dense(layout, generator):
+    """The Liouvillian that stores the nonzero entries of a dense L_H (NaN counts as nonzero)."""
+    index = np.flatnonzero(generator)
+    return Liouvillian(layout, index, np.array(np.divmod(index, generator.shape[0])),
+                       generator.reshape(-1)[index])
+
+
+def band_plan(liou):
+    """_band_of's plan for liou, also where a banded LU would not pay."""
+    return liouvillian_module._band_plan(liou.layout.dims,
+                                         liouvillian_module._Identity(liou.row_col),
+                                         np.packbits(liou.values != 0).tobytes())
+
+
+def test_liouvillian_compares_and_hashes_by_identity():
+    # a field-wise == of the stored arrays has no single truth value; two
+    # evaluations of one model are distinct objects, each its own dict key
+    p = FullModelParams()
+    a, b = full_model_liouvillian(p), full_model_liouvillian(p)
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+
+
+def test_dense_generator_is_the_stored_entries_built_once():
+    # the dense view scatters the stored entries into zeros, is read-only
+    # and is kept on the instance
+    liou = full_model_liouvillian(FullModelParams(n_max=3, eta_a=0.0))
+    assert np.any(liou.values == 0.0)  # the table stores the boson drive's zeros
+    g = liou.generator
+    assert g is liou.generator and not g.flags.writeable
+    assert np.array_equal(np.flatnonzero(g), liou.index[liou.values != 0.0])
+    assert np.array_equal(g.reshape(-1)[liou.index], liou.values)
+    assert np.array_equal(liou.row_col, np.divmod(liou.index, liou.dim ** 2))
+
+
 def direct_generator(h, jumps):
     """Reference L_H: the scatter of build_liouvillian without a cached structure.
 
@@ -323,7 +358,7 @@ def test_evolve_rejects_trace_drift(leak):
     # L_H - leak * I scales every coordinate, so the trace decays as
     # exp(-leak t): at t = 1 the drift is about leak, against the 1e-9 bound
     liou = build_liouvillian(*build_full_model(FullModelParams()))
-    leaky = Liouvillian(liou.layout, liou.generator - leak * np.eye(liou.dim ** 2))
+    leaky = from_dense(liou.layout, liou.generator - leak * np.eye(liou.dim ** 2))
     rho0 = DensityMatrix.pure(liou.layout, np.eye(liou.dim)[0])
     times = np.linspace(0.0, 1.0, 11)
     if leak > 1e-9:
@@ -365,7 +400,7 @@ def test_steady_state_residual_check_fails_on_nan():
     generator = liou.generator.copy()
     generator[0, 7] = np.nan
     with pytest.raises(NumericalError, match="residual nan"):
-        steady_state(Liouvillian(liou.layout, generator))
+        steady_state(from_dense(liou.layout, generator))
 
 
 def test_steady_state_residual_check_fails_on_nan_in_off_diagonal_row():
@@ -375,7 +410,7 @@ def test_steady_state_residual_check_fails_on_nan_in_off_diagonal_row():
     d = liou.dim
     generator = liou.generator.copy()
     generator[d + 3, 7] = np.nan
-    broken = Liouvillian(liou.layout, generator)
+    broken = from_dense(liou.layout, generator)
     with pytest.raises(NumericalError, match="residual nan"):
         steady_state(broken)
     # a finite state: only that pair's entries of L(rho) are NaN
@@ -479,7 +514,7 @@ def test_banded_solve_rejects_a_nan_generator():
     for row, col in ((d + 3, 7), (0, 7)):
         generator = liou.generator.copy()
         generator[row, col] = np.nan
-        broken = Liouvillian(liou.layout, generator)
+        broken = from_dense(liou.layout, generator)
         assert liouvillian_module._band_of(broken) is not None
         with pytest.raises(NumericalError):
             steady_state(broken)
@@ -492,19 +527,19 @@ def test_band_keeps_a_jump_across_the_whole_boson_ladder():
     h, jumps, layout = reset_jump_model()
     liou = build_liouvillian(h, jumps, layout)
     g = liou.generator
-    band = liouvillian_module._band_plan(layout.dims, np.packbits(g != 0).tobytes())
+    band = band_plan(liou)
     order = liouvillian_module._coordinate_order(layout.dims)
     ldab = 2 * band.kl + band.ku + 1
     storage = np.zeros(ldab * g.shape[0])
-    storage[band.dst] = g.reshape(-1)[band.src]
+    storage[band.dst] = liou.values[band.src]
     permuted = g[np.ix_(order, order)]
     rows, cols = np.nonzero(permuted[1:])
     rows += 1
     assert np.array_equal(storage[cols * ldab + band.kl + band.ku + rows - cols],
                           permuted[rows, cols])
     assert np.count_nonzero(storage) == rows.size
-    dense = liouvillian_module._bordered_kernel(g, None)[0]
-    assert np.abs(liouvillian_module._bordered_kernel(g, band)[0] - dense).max() < 1e-12
+    dense = liouvillian_module._bordered_kernel(liou, None)[0]
+    assert np.abs(liouvillian_module._bordered_kernel(liou, band)[0] - dense).max() < 1e-12
     rho = steady_state(liou)
     assert np.abs(rho.matrix - unvec(liouvillian_module._hermitian_vec(dense))).max() < 1e-12
 
@@ -561,7 +596,7 @@ def test_steady_state_carries_the_rcond_and_residual_of_its_solve(n_max):
     assert rho.rcond == pytest.approx(dgecon(lu, anorm)[0], rel=1e-10)
     # the residual of the solved coordinates; read from the matrix instead,
     # it differs by the roundoff of the round trip
-    c, _ = liouvillian_module._bordered_kernel(g, band)
+    c, _ = liouvillian_module._bordered_kernel(liou, band)
     assert rho.residual == liouvillian_module._residual(liou, c) < 1e-10
     bound = 8 * np.finfo(float).eps * np.abs(g).sum(axis=1).max()
     assert abs(rho.residual - steady_state_residual(liou, rho)) <= bound

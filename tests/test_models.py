@@ -391,10 +391,11 @@ def test_cached_tables_are_read_only():
     liou = full_model_liouvillian(p)
     layout, a, qubits = _full_model_operators(p.n_max)
     lowers, numbers, coincidence, number_sum = _emission_operators(layout)
-    cached = [liou.generator, *_affine_generator(p.n_max, p.relaxation_operator),
+    cached = [liou.values, liou.generator, *_affine_generator(p.n_max, p.relaxation_operator),
               a, *qubits[0], *qubits[1], *_hermitian_index(layout.total_dim),
               *lowers, *numbers, coincidence, number_sum]
     assert not any(arr.flags.writeable for arr in cached)
-    index, coef = _affine_generator(p.n_max, p.relaxation_operator)
+    index, coef, row_col = _affine_generator(p.n_max, p.relaxation_operator)
     assert coef.shape == (index.size, 13)
     assert np.all(np.diff(index) > 0)
+    assert np.array_equal(row_col[0] * liou.dim ** 2 + row_col[1], index)

@@ -29,17 +29,21 @@ from ddesim import (
 )
 from ddesim.liouvillian import (
     DegenerateSteadyStateError,
+    _band_of,
     _band_plan,
     _bordered_kernel,
+    _Identity,
     _hermitian_coords,
     _hermitian_vec,
+    _coordinate_order,
     _residual,
     unvec,
     vec,
 )
 from ddesim.observables import _emission_operators, _emission_setup
 from ddesim.operators import QUBIT_NUMBER, SIGMA_MINUS, SIGMA_PLUS
-from test_liouvillian import EXPONENTIAL_RTOL, direct_generator, exponential_error, kron_assembly
+from test_liouvillian import (EXPONENTIAL_RTOL, band_plan, direct_generator, exponential_error,
+                             kron_assembly, reset_jump_model)
 
 PROPERTY_SETTINGS = settings(max_examples=10, deadline=None, derandomize=True,
                              database=None)
@@ -273,22 +277,24 @@ def test_affine_generator_matches_direct_assembly(p, delta_a, n_max, relaxation_
 def test_residual_matches_complex_expansion_bit_for_bit(p, seed):
     # the residual is read from the real coordinates; it must equal the
     # max-entry norm of the expanded complex matrix exactly, both at the
-    # steady state and at coordinates far from it
+    # steady state and at coordinates far from it, with L_H c the same
+    # product over the stored entries
     rng = np.random.default_rng(seed)
     liou, rho_ss = solved(p)
+    row, col = liou.row_col
     for c in (_hermitian_coords(vec(rho_ss.matrix)),
               _hermitian_coords(vec(random_hermitian(rng, liou.dim)))):
-        expanded = float(np.max(np.abs(_hermitian_vec(liou.generator @ c))))
+        r = np.bincount(row, liou.values * c[col], minlength=liou.dim ** 2)
+        expanded = float(np.max(np.abs(_hermitian_vec(r))))
         assert _residual(liou, c) == expanded
 
 
 def bordered_solves(liou):
     """The banded and the dense bordered solve of one generator: coordinates or the error."""
-    g = liou.generator
     out = []
-    for plan in (_band_plan(liou.layout.dims, np.packbits(g != 0).tobytes()), None):
+    for plan in (band_plan(liou), None):
         try:
-            out.append(_bordered_kernel(g, plan)[0])
+            out.append(_bordered_kernel(liou, plan)[0])
         except DegenerateSteadyStateError as exc:
             out.append(exc)
     return out
@@ -306,3 +312,55 @@ def test_banded_and_dense_bordered_solves_agree(p, n_max):
     assert isinstance(banded, np.ndarray) == isinstance(dense, np.ndarray)
     if isinstance(dense, np.ndarray):
         assert np.abs(banded - dense).max() < 1e-12
+
+
+def dense_pattern_band(liou):
+    """Reference band of the dense generator, keyed on its nonzero pattern np.packbits(L_H != 0).
+
+    kl, ku, and the entries outside the row of coordinate 0 gathered in
+    ascending flat order with their positions in the band storage.
+    """
+    g = liou.generator
+    n = g.shape[0]
+    rank = np.argsort(_coordinate_order(liou.layout.dims))
+    src = np.flatnonzero(np.unpackbits(np.packbits(g != 0), count=g.size))
+    row, col = rank[src // n], rank[src % n]
+    kl, ku = int(np.max(row - col, initial=0)), int(np.max(col - row, initial=0))
+    live = row != 0
+    dst = col * (2 * kl + ku + 1) + kl + ku + row - col
+    return kl, ku, g.reshape(-1)[src[live]], dst[live]
+
+
+def assert_plan_is_the_dense_pattern_plan(liou):
+    # the plan whether or not it pays, and the one steady_state takes where it does
+    kl, ku, entries, dst = dense_pattern_band(liou)
+    for band in (band_plan(liou), _band_of(liou)):
+        if band is not None:
+            assert (band.kl, band.ku) == (kl, ku)
+            assert np.array_equal(band.order, _coordinate_order(liou.layout.dims))
+            assert np.array_equal(liou.values[band.src], entries)
+            assert np.array_equal(band.dst, dst)
+    return kl
+
+
+@PROPERTY_SETTINGS
+@given(params_strategy, st.integers(3, 6))
+def test_band_plan_of_the_stored_entries_is_the_dense_pattern_plan(p, n_max):
+    # the plan is keyed on the stored entries and the mask of the nonzero
+    # ones; its band, gather order and gathered entries are those the dense
+    # nonzero pattern gives, so the banded factor is bitwise the same
+    p = dataclasses.replace(p, n_max=n_max)
+    assert_plan_is_the_dense_pattern_plan(full_model_liouvillian(p))
+    assert_plan_is_the_dense_pattern_plan(build_liouvillian(*build_full_model(p)))
+
+
+def test_band_plan_skips_stored_zeros_and_keeps_far_entries():
+    # at eta_a = 0 the table stores the boson drive's entries as zeros; the
+    # plan of the nonzero values keeps kl 94, all stored positions give 98
+    liou = full_model_liouvillian(FullModelParams(n_max=5, eta_a=0.0))
+    assert _band_of(liou) is not None
+    assert assert_plan_is_the_dense_pattern_plan(liou) == 94
+    every = np.packbits(np.ones(liou.values.size, dtype=bool)).tobytes()
+    assert _band_plan(liou.layout.dims, _Identity(liou.row_col), every).kl == 98
+    # the reset jump couples boson levels n_max and 0, far outside the band
+    assert_plan_is_the_dense_pattern_plan(build_liouvillian(*reset_jump_model()))

@@ -17,9 +17,12 @@ from ddesim import (
     GridSpec,
     NumericalError,
     SweepResult,
+    build_full_model,
+    build_liouvillian,
     correlation_stats,
     full_model_liouvillian,
     run_sweep,
+    steady_state,
 )
 import ddesim
 import ddesim.cli
@@ -465,3 +468,17 @@ def test_correlation_stats_rejects_zero_variance():
     x = np.linspace(0.0, 1.0, 12)
     with pytest.raises(ValueError, match="variance"):
         correlation_stats(fabricated_result([(g, 0.5) for g in x]))
+
+
+@pytest.mark.parametrize("n_max", [2, 5], ids=["dense", "banded"])
+def test_steady_state_cells_never_build_the_dense_generator(monkeypatch, n_max):
+    # the solve, its residual and the band plan read the stored entries;
+    # only propagation and the oracles need the dense d^2 x d^2 view
+    def forbidden(self):
+        raise AssertionError("dense generator built")
+
+    monkeypatch.setattr(Liouvillian, "generator", property(forbidden))
+    p = FullModelParams(n_max=n_max)
+    cell, _ = _evaluate_cell((p, ("concurrence", "g2_zero"), ()))
+    assert cell.ok and None not in (cell.concurrence, cell.g2_zero)
+    assert steady_state(build_liouvillian(*build_full_model(p))).residual < 1e-10
