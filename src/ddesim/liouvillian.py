@@ -14,12 +14,13 @@ Hamiltonian K = -i H - (1/2) sum_k gamma_k L_k+ L_k and of the jump
 operators, never from the complex superoperator: each entry
 B[x, u] conj(A[y, v]) of a term X -> B X A+ lands on at most four entries of
 L_H, and one bincount sums them per written entry (build_liouvillian, which
-caches the structure of that scatter per nonzero pattern). The same
-scatter, uncached, is what models.full_model_liouvillian tabulates once per
-model structure, so that a parameter map evaluates each cell's L_H as one
-linear combination. A Liouvillian stores only the written entries (7.7 k of
-332 k at n_max 5), which the steady-state solve reads; propagation and the
-oracles read the dense L_H built from them on first access.
+caches the structure of that scatter per nonzero pattern). It is the one
+assembly engine: models.full_model_liouvillian tabulates its generators
+once per model structure, so that a parameter map evaluates each cell's
+L_H as one linear combination. A Liouvillian stores only the written
+entries, their rows and columns and their values (7.7 k of 332 k at
+n_max 5); the steady-state solve reads them, and propagation scatters
+them, times its time step, into the dense matrix it exponentiates.
 
 The steady state is one real LU solve of L_H with the trace condition
 substituted for the row of coordinate 0 (rho[0, 0]). Sorted by the key
@@ -157,15 +158,14 @@ def unvec(v: np.ndarray) -> np.ndarray:
 class Liouvillian:
     """Lindblad generator on a labeled space: the stored entries of the real L_H = W+ L W.
 
-    index holds the sorted flat positions of the stored entries in the
-    d^2 x d^2 L_H, row_col np.divmod(index, d^2) as a (2, nnz) array and
+    row_col holds the rows and columns of the stored entries in the
+    d^2 x d^2 L_H as a (2, nnz) array, sorted by row, then column, and
     values the entries (exact zeros among them); all others are exact 0.
-    The dense L_H, generator, is built on first access and kept. Read-only
-    arrays; immutable, safe to share across sweep workers, compared by identity.
+    Read-only arrays; immutable, safe to share across sweep workers,
+    compared by identity.
     """
 
     layout: SpaceLayout
-    index: np.ndarray = field(repr=False)
     row_col: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
 
@@ -173,13 +173,10 @@ class Liouvillian:
     def dim(self) -> int:
         return self.layout.total_dim
 
-    @functools.cached_property
+    @property
     def generator(self) -> np.ndarray:
-        """The dense d^2 x d^2 L_H, read-only: scattered from index and values on first access."""
-        generator = np.zeros((self.dim ** 2,) * 2)
-        generator.reshape(-1)[self.index] = self.values
-        generator.flags.writeable = False
-        return generator
+        """The dense d^2 x d^2 L_H, scattered from the stored entries on every access."""
+        return _dense(self)
 
     @property
     def superop(self) -> np.ndarray:
@@ -237,34 +234,17 @@ def build_liouvillian(h: np.ndarray, jumps: list[JumpTerm] | tuple[JumpTerm, ...
     if layout.total_dim != d:
         raise ValueError(f"layout dimension {layout.total_dim} does not match Hamiltonian dim {d}")
 
-    for j in jumps:
-        if j.operator.shape != (d, d):
-            raise ValueError(f"jump operator shape {j.operator.shape} does not match dim {d}")
-    written, row_col, values = _generator_scatter(h, jumps, _cached_scatter_structure)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("generator has non-finite entries")
-    values.flags.writeable = False
-    return Liouvillian(layout, written, row_col, values)
-
-
-def _generator_scatter(h: np.ndarray, jumps, structure_of) -> tuple[np.ndarray, ...]:
-    """Sorted flat positions in L_H that its terms write, their row_col and their values.
-
-    K, the rates and the live jump operators' entries are gathered through
-    structure_of(d, patterns) (_scatter_structure or its cache), weighted
-    by the W coefficients of its positions and summed into its bins by one
-    bincount. h and the jump operators must already be validated as d x d.
-    """
-    d = h.shape[0]
     k = -1j * h
     live = []
     for j in jumps:
+        if j.operator.shape != (d, d):
+            raise ValueError(f"jump operator shape {j.operator.shape} does not match dim {d}")
         if j.rate != 0.0:
             live.append(j)
             k -= 0.5 * j.rate * (j.operator.conj().T @ j.operator)
     rates = np.array([j.rate for j in live])
     ops = np.array([j.operator for j in live], dtype=complex).reshape(-1, d, d)
-    k_entries, first, second, channel, (p, q), bins, written, row_col = structure_of(
+    k_entries, first, second, channel, (p, q), bins, row_col = _scatter_structure(
         d, (k != 0).tobytes(), (ops != 0).tobytes())
 
     ops = ops.reshape(-1)
@@ -272,14 +252,21 @@ def _generator_scatter(h: np.ndarray, jumps, structure_of) -> tuple[np.ndarray, 
                            rates[channel] * ops[first] * ops[second].conj()))
     coef = _basis_map(d)[1]
     weights = (coef.take(p, axis=1).conj()[:, None] * (coef.take(q, axis=1) * vals)[None]).real
-    return written, row_col, np.bincount(bins, weights.reshape(-1), minlength=written.size)
+    values = np.bincount(bins, weights.reshape(-1), minlength=row_col.shape[1])
+    if not np.all(np.isfinite(values)):
+        raise ValueError("generator has non-finite entries")
+    values.flags.writeable = False
+    return Liouvillian(layout, row_col, values)
 
 
+# build_liouvillian's structures; the 8 of the full model at n_max 2 to 5,
+# with and without a boson drive, hold 1.3 MB
+@functools.lru_cache(maxsize=8)
 def _scatter_structure(d: int, k_pattern: bytes, op_pattern: bytes) -> tuple[np.ndarray, ...]:
     """Gathers, positions and bins of the scatter of L_H, as read-only arrays.
 
     The tuple is (k_entries, first, second, channel, positions, bins,
-    written, row_col). k_pattern is (K != 0).tobytes() of K and op_pattern
+    row_col). k_pattern is (K != 0).tobytes() of K and op_pattern
     that of the live jump operators stacked as a (channels, d, d) array,
     both in C order. K X + X K+ contributes 2 K[x, u] to
     S[x + y d, u + v d] at every y = v (build_liouvillian), so k_entries
@@ -289,10 +276,10 @@ def _scatter_structure(d: int, k_pattern: bytes, op_pattern: bytes) -> tuple[np.
     first and second hold their flat positions in the stack and channel
     the index of its rate. positions holds the (p, q) of each of these m
     entries S[p, q], which adds Re(conj(W[p, a]) S[p, q] W[q, b]) to
-    L_H[a, b] for the at most two basis columns a of p and b of q; written
-    holds the sorted flat positions in L_H of the 4 m products (with their
-    row_col) and bins the index into written of each. The others are int16
-    or int32 (_narrow); written and row_col stay intp, as indexing takes it.
+    L_H[a, b] for the at most two basis columns a of p and b of q; row_col
+    holds the rows and columns in L_H that the 4 m products write, sorted
+    as in Liouvillian, and bins the index into row_col of each. The others
+    are int16 or int32 (_narrow); row_col stays intp, as indexing takes it.
     """
     n = d * d
     k_entries = np.flatnonzero(np.frombuffer(k_pattern, dtype=bool))
@@ -310,7 +297,7 @@ def _scatter_structure(d: int, k_pattern: bytes, op_pattern: bytes) -> tuple[np.
     written, bins = np.unique(index, return_inverse=True)
     structure = (*(_narrow(i) for i in (k_entries, entries[a], entries[b], chan[a],
                                         np.stack((p, q)), bins.reshape(-1))),
-                 written, np.array(np.divmod(written, n)))
+                 np.array(np.divmod(written, n)))
     for array in structure:
         array.flags.writeable = False
     return structure
@@ -322,9 +309,16 @@ def _narrow(index: np.ndarray) -> np.ndarray:
     return index.astype(np.int16 if top < 2 ** 15 else np.int32 if top < 2 ** 31 else np.intp)
 
 
-# build_liouvillian's structures; the 8 of the full model at n_max 2 to 5,
-# with and without a boson drive, hold 1.7 MB
-_cached_scatter_structure = functools.lru_cache(maxsize=8)(_scatter_structure)
+def _dense(l: Liouvillian, scale: float = 1.0) -> np.ndarray:
+    """The dense d^2 x d^2 matrix L_H scale, scattered from the stored entries of l."""
+    a = np.zeros((l.dim ** 2,) * 2)
+    a[tuple(l.row_col)] = l.values * scale
+    return a
+
+
+def _norm_1(l: Liouvillian) -> float:
+    """||L_H||_1, the largest column sum of |entries|, from the stored entries of l."""
+    return float(np.max(np.bincount(l.row_col[1], np.abs(l.values), minlength=l.dim ** 2)))
 
 
 _SQRT_HALF = np.sqrt(0.5)
@@ -443,12 +437,12 @@ def evolve(l: Liouvillian, rho0: DensityMatrix, times) -> EvolveResult:
     if rho0.layout.total_dim != l.dim:
         raise ValueError("initial state dimension does not match Liouvillian")
     t, dt = _uniform_times(times)
-    if not float(np.linalg.norm(l.generator, 1)) * max(t[0], dt) <= MAX_EXPONENT_NORM:
+    if not _norm_1(l) * max(t[0], dt) <= MAX_EXPONENT_NORM:
         raise ValueError(f"times must keep ||L_H t[0]||_1 and ||L_H dt||_1 at most "
                          f"{MAX_EXPONENT_NORM:.3e}, got t[0] = {t[0]!r}, dt = {dt!r}")
 
-    first = _exponential(l.generator * t[0]) @ _hermitian_coords(vec(rho0.matrix))
-    step = _exponential(l.generator * dt) if t.size > 1 else None
+    first = _exponential(_dense(l, t[0])) @ _hermitian_coords(vec(rho0.matrix))
+    step = _exponential(_dense(l, dt)) if t.size > 1 else None
     cols = _powers(step, first, t.size)
     drift = float(np.max(np.abs(cols[:l.dim].sum(axis=0) - 1.0)))
     if not drift <= TRACE_DRIFT_TOL:
@@ -566,11 +560,11 @@ def correlation_samples(l: Liouvillian, observable: np.ndarray, x0: np.ndarray,
     """
     if not _is_integer(n) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    if not (dt > 0 and float(np.linalg.norm(l.generator, 1)) * dt <= MAX_EXPONENT_NORM):
+    if not (dt > 0 and _norm_1(l) * dt <= MAX_EXPONENT_NORM):
         raise ValueError(f"dt must be positive with ||L_H dt||_1 at most "
                          f"{MAX_EXPONENT_NORM:.3e}, got {dt!r}")
     b = _block_length(int(n))
-    power, s = _scaled_exponential(l.generator * dt)
+    power, s = _scaled_exponential(_dense(l, dt))
     baby = np.empty((power.shape[0], b), order="F")
     baby[:, 0] = _hermitian_coords(vec(x0))
     for k in range(-s, b.bit_length() - 1):  # power is P^(2^k)

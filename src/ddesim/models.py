@@ -5,8 +5,9 @@ population oracle for the symmetric driving case.
 Every float parameter of the full model except gamma_a_abs enters its
 generator linearly, L_H(p) = L_0 + sum_k p_k G_k. full_model_liouvillian
 evaluates that sum from a table built once per (n_max,
-relaxation_operator), so a parameter map pays only for the sum; the
-embedded operators of build_full_model are cached per n_max.
+relaxation_operator) from build_liouvillian, the one assembly engine, so a
+parameter map pays only for the sum; the embedded operators of
+build_full_model are cached per n_max.
 
 All energies and rates are in units of the boson decay rate (fixed to 1).
 """
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liouvillian import JumpTerm, Liouvillian, _generator_scatter, _scatter_structure
+from .liouvillian import JumpTerm, Liouvillian, build_liouvillian
 from .operators import (
     SIGMA_MINUS,
     SIGMA_PLUS,
@@ -29,6 +30,7 @@ from .operators import (
     TWO_QUBIT_LAYOUT,
     DensityMatrix,
     SpaceLayout,
+    _is_integer,
     boson_destroy,
     embed,
     partial_trace,
@@ -49,9 +51,9 @@ class FullModelParams:
     gamma_d*) are dimensionless ratios of the boson decay rate; gamma_a_abs
     is that decay rate in Hz, must be positive, and only enters
     absolute-time conversion. Every field but relaxation_operator must be
-    a real number (numbers.Real, never complex), finite with magnitude at
-    most 1e150, and n_max an integer; the model builders rely on this one
-    check.
+    a real number (numbers.Real, never complex or bool), finite with
+    magnitude at most 1e150, and n_max an integer; the model builders rely
+    on this one check.
     relaxation_operator selects the qubit relaxation jump: "lower" is the
     physical choice, "raise" reproduces a raising-operator variant for
     comparison.
@@ -74,12 +76,15 @@ class FullModelParams:
     relaxation_operator: str = "lower"
 
     def __post_init__(self):
+        if not _is_integer(self.n_max) or self.n_max < 1:
+            raise ValueError(f"n_max must be an integer >= 1, got {self.n_max}")
         for f in dataclasses.fields(self):
             if f.name == "relaxation_operator":
                 continue
             v = getattr(self, f.name)
-            # int and float first: they skip the slower numbers.Real check
-            if not isinstance(v, (int, float, numbers.Real)):
+            # int and float first: they skip the slower numbers.Real check;
+            # a bool is an int, and no knob
+            if not isinstance(v, (int, float, numbers.Real)) or isinstance(v, bool):
                 raise ValueError(f"{f.name} must be a real number, got {v!r}")
             # compared in float64: a float32 comparison rounds the limit up to inf
             if not abs(float(v)) <= PARAM_LIMIT:
@@ -90,8 +95,6 @@ class FullModelParams:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
         if not self.gamma_a_abs > 0:
             raise ValueError(f"gamma_a_abs must be positive, got {self.gamma_a_abs}")
-        if not isinstance(self.n_max, numbers.Integral) or self.n_max < 1:
-            raise ValueError(f"n_max must be an integer >= 1, got {self.n_max}")
         if self.relaxation_operator not in ("lower", "raise"):
             raise ValueError(
                 f"relaxation_operator must be 'lower' or 'raise', got {self.relaxation_operator!r}")
@@ -159,32 +162,33 @@ def build_full_model(p: FullModelParams) -> tuple[np.ndarray, tuple[JumpTerm, ..
 
 
 @functools.lru_cache(maxsize=8)
-def _affine_generator(n_max: int, relaxation_operator: str) -> tuple[np.ndarray, ...]:
-    """Table of L_H(p) = L_0 + sum_k p_k G_k: flat indices, coefficients and row_col, read-only.
+def _affine_generator(n_max: int, relaxation_operator: str) -> tuple[np.ndarray, np.ndarray]:
+    """Table of L_H(p) = L_0 + sum_k p_k G_k: row_col and coefficients, read-only.
 
-    index holds the sorted flat positions in L_H that some term makes
-    nonzero (row_col as in Liouvillian). There coef[:, 0] is L_0, every
-    linear parameter 0 (boson decay only), and coef[:, 1 + k] is
-    G_k = L(p_k = 1) - L_0 for the k-th of _LINEAR_FIELDS. Each is summed
-    from build_liouvillian's own scatter, its structure built uncached:
-    these thirteen one-off patterns stay out of build_liouvillian's cache,
-    and out of every forked map worker.
+    row_col holds the positions in L_H that some term makes nonzero, sorted
+    as in Liouvillian. There coef[:, 0] is L_0, every linear parameter 0
+    (boson decay only), and coef[:, 1 + k] is G_k = L(p_k = 1) - L_0 for
+    the k-th of _LINEAR_FIELDS. Each is summed from the build_liouvillian
+    of its model, merged on their positions.
     """
     base = FullModelParams(n_max=n_max, relaxation_operator=relaxation_operator,
                            **dict.fromkeys(_LINEAR_FIELDS, 0.0))
-    scatters = [_generator_scatter(*build_full_model(q)[:2], _scatter_structure)
-                for q in (base, *(dataclasses.replace(base, **{name: 1.0})
-                                  for name in _LINEAR_FIELDS))]
-    index = np.unique(np.concatenate([i for i, _, _ in scatters]))
-    coef = np.stack([np.bincount(np.searchsorted(index, i), w, minlength=index.size)
-                     for i, _, w in scatters], axis=1)
+    generators = [build_liouvillian(*build_full_model(q))
+                  for q in (base, *(dataclasses.replace(base, **{name: 1.0})
+                                    for name in _LINEAR_FIELDS))]
+    # merged on the flat position row * n + col, which sorts as row_col
+    # does; np.unique over the pairs (axis=1) took 20x longer
+    n = generators[0].dim ** 2
+    positions = [row * n + col for row, col in (l.row_col for l in generators)]
+    merged = np.unique(np.concatenate(positions))
+    coef = np.stack([np.bincount(np.searchsorted(merged, i), l.values, minlength=merged.size)
+                     for i, l in zip(positions, generators)], axis=1)
     coef[:, 1:] -= coef[:, :1]
     # positions whose terms cancel exactly in every model stay zero
     live = np.any(coef != 0.0, axis=1)
-    index, coef = index[live], coef[live]
-    row_col = np.array(np.divmod(index, qubit_pair_boson_layout(n_max).total_dim ** 2))
-    index.flags.writeable = coef.flags.writeable = row_col.flags.writeable = False
-    return index, coef, row_col
+    row_col, coef = np.array(np.divmod(merged[live], n)), coef[live]
+    row_col.flags.writeable = coef.flags.writeable = False
+    return row_col, coef
 
 
 def full_model_liouvillian(p: FullModelParams) -> Liouvillian:
@@ -193,12 +197,12 @@ def full_model_liouvillian(p: FullModelParams) -> Liouvillian:
     Evaluates L_H(p) = L_0 + sum_k p_k G_k at the nnz entries that some
     term makes nonzero, as one (nnz x 13) matrix-vector product with the
     table cached per (n_max, relaxation_operator), and stores them with the
-    table's index and row_col; an entry whose terms p switches off is 0.
+    table's row_col; an entry whose terms p switches off is 0.
     """
-    index, coef, row_col = _affine_generator(p.n_max, p.relaxation_operator)
+    row_col, coef = _affine_generator(p.n_max, p.relaxation_operator)
     values = coef @ np.array([1.0, *(getattr(p, name) for name in _LINEAR_FIELDS)])
     values.flags.writeable = False
-    return Liouvillian(qubit_pair_boson_layout(p.n_max), index, row_col, values)
+    return Liouvillian(qubit_pair_boson_layout(p.n_max), row_col, values)
 
 
 def _psd_floor(rates: np.ndarray) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 from .liouvillian import (Liouvillian, NumericalError, SteadyState, correlation_samples,
                           steady_state_residual)
 from .models import _rabi_frequency, adiabatic_eliminate
-from .operators import SIGMA_MINUS, DensityMatrix, embed
+from .operators import SIGMA_MINUS, DensityMatrix, _is_integer, embed
 
 DARK_TOL = 1e-14
 # smallest weight <n_i> of a bright emitter whose post-jump statistics are
@@ -211,7 +211,7 @@ def g2_trace(l: Liouvillian, rho_ss: DensityMatrix, tau_max: float,
     """
     if not (np.isfinite(tau_max) and tau_max > 0):
         raise ValueError(f"tau_max must be positive and finite, got {tau_max}")
-    if n_samples < MIN_N_SAMPLES or (n_samples & (n_samples - 1)) != 0:
+    if not _is_integer(n_samples) or n_samples < MIN_N_SAMPLES or n_samples & (n_samples - 1):
         raise ValueError(f"n_samples must be a power of two >= {MIN_N_SAMPLES}, got {n_samples}")
 
     bright, dark, weights, asymptote, raw_zero = _emission_setup(l, rho_ss)
@@ -293,8 +293,8 @@ def extract_timescale(trace: CorrelationTrace, gamma_a_abs: float) -> TimescaleR
     whose peak is under 3 times the median magnitude has no usable
     oscillation and raises FlatSpectrumError.
     """
-    if gamma_a_abs <= 0:
-        raise ValueError(f"gamma_a_abs must be positive, got {gamma_a_abs}")
+    if not (np.isfinite(gamma_a_abs) and gamma_a_abs > 0):
+        raise ValueError(f"gamma_a_abs must be positive and finite, got {gamma_a_abs}")
     y = trace.normalized - 1.0
     n = y.size
     dtau = trace.taus[1] - trace.taus[0]

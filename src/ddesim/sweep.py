@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .liouvillian import NumericalError, _band_of, steady_state
-from .models import _FLOAT_FIELDS, FullModelParams, _affine_generator, full_model_liouvillian
+from .models import _FLOAT_FIELDS, FullModelParams, full_model_liouvillian
 from .observables import (
     DEFAULT_N_SAMPLES,
     _emission_operators,
@@ -165,12 +165,13 @@ def _build_cell_tables(base: FullModelParams) -> None:
     """Build the cached tables every cell with this base reads.
 
     n_max and relaxation_operator are not sweepable, so all cells share the
-    affine generator table (whose build also caches the layout's Hermitian
-    index) and the layout's emission-operator table of g2(0) and g2(tau).
-    Cells whose generator has the nonzero pattern of the base's also share
-    its steady-state band plan, where the solve is banded.
+    affine generator table, built by the base's full_model_liouvillian
+    (which also caches the layout's Hermitian index, and leaves up to eight
+    of the table's scatter structures in build_liouvillian's cache, 0.13 MB
+    at n_max 2), and the layout's emission-operator table of g2(0) and
+    g2(tau). Cells whose generator has the nonzero pattern of the base's
+    also share its steady-state band plan, where the solve is banded.
     """
-    _affine_generator(base.n_max, base.relaxation_operator)
     _emission_operators(qubit_pair_boson_layout(base.n_max))
     _band_of(full_model_liouvillian(base))
 

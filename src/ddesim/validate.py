@@ -6,11 +6,12 @@ contracts, the concurrence oracles, the closed-form population formulas,
 and the correlation pipeline, whose g2(0) and g2(tau) samples are held to
 post-jump states propagated one delay at a time. The model checks run on
 the generator every command uses, full_model_liouvillian's
-parameter-affine table; the steady-state check holds that table to the
-direct assembly build_liouvillian(*build_full_model(p)), the one place the
-reference path runs, and holds the banded steady-state solve at n_max 5 to
-the dense one. Each check reports ok/FAIL; any failure makes the
-battery fail as a whole.
+parameter-affine table; the steady-state check holds that table, summed
+from the build_liouvillian of thirteen fixed models, to the direct assembly
+build_liouvillian(*build_full_model(p)) at random points, which checks that
+the generator is affine in the parameters, and holds the banded
+steady-state solve at n_max 5 to the dense one. Each check reports
+ok/FAIL; any failure makes the battery fail as a whole.
 """
 
 from __future__ import annotations

@@ -405,10 +405,10 @@ def scale_table_column(monkeypatch, name):
     column = ("L_0", *_LINEAR_FIELDS).index(name)
 
     def perturbed(n_max, relaxation_operator):
-        index, coef, row_col = _affine_generator(n_max, relaxation_operator)
+        row_col, coef = _affine_generator(n_max, relaxation_operator)
         coef = coef.copy()
         coef[:, column] *= 1.001
-        return index, coef, row_col
+        return row_col, coef
 
     monkeypatch.setattr("ddesim.models._affine_generator", perturbed)
 

@@ -43,6 +43,7 @@ from ddesim.liouvillian import (
     unvec,
     vec,
 )
+from ddesim.models import _LINEAR_FIELDS, _affine_generator
 from ddesim.operators import QUBIT_NUMBER, SIGMA_Z
 from ddesim.validate import integrator_states
 
@@ -128,9 +129,8 @@ def test_build_liouvillian_rejects_non_finite_generator():
 
 def from_dense(layout, generator):
     """The Liouvillian that stores the nonzero entries of a dense L_H (NaN counts as nonzero)."""
-    index = np.flatnonzero(generator)
-    return Liouvillian(layout, index, np.array(np.divmod(index, generator.shape[0])),
-                       generator.reshape(-1)[index])
+    row_col = np.array(np.nonzero(generator))
+    return Liouvillian(layout, row_col, generator[tuple(row_col)])
 
 
 def band_plan(liou):
@@ -149,16 +149,18 @@ def test_liouvillian_compares_and_hashes_by_identity():
     assert len({a, b, a}) == 2
 
 
-def test_dense_generator_is_the_stored_entries_built_once():
-    # the dense view scatters the stored entries into zeros, is read-only
-    # and is kept on the instance
+def test_dense_generator_is_the_stored_entries_rebuilt_on_access():
+    # the dense L_H scatters the stored entries, sorted by row, then column,
+    # into zeros; it is rebuilt on each access, and nothing keeps it
     liou = full_model_liouvillian(FullModelParams(n_max=3, eta_a=0.0))
     assert np.any(liou.values == 0.0)  # the table stores the boson drive's zeros
     g = liou.generator
-    assert g is liou.generator and not g.flags.writeable
-    assert np.array_equal(np.flatnonzero(g), liou.index[liou.values != 0.0])
-    assert np.array_equal(g.reshape(-1)[liou.index], liou.values)
-    assert np.array_equal(liou.row_col, np.divmod(liou.index, liou.dim ** 2))
+    assert g is not liou.generator and np.array_equal(g, liou.generator)
+    assert "generator" not in vars(liou)
+    row, col = liou.row_col
+    assert np.all(np.diff(row * liou.dim ** 2 + col) > 0)
+    assert np.array_equal(np.nonzero(g), liou.row_col[:, liou.values != 0.0])
+    assert np.array_equal(g[row, col], liou.values)
 
 
 def direct_generator(h, jumps):
@@ -202,18 +204,44 @@ def reset_jump_model():
 
 
 def test_generator_is_bitwise_the_direct_scatter_and_reuses_its_structure():
-    # two points with one nonzero pattern share one cached structure, and
-    # each generator is bitwise the uncached scatter's
-    cache = liouvillian_module._cached_scatter_structure
+    # the table's 13 models go through the same cache and take 11
+    # structures from it (delta_a = 1 keeps the pattern of L_0's model, and
+    # the two dephasing channels have one pattern); two points with one
+    # nonzero pattern share one, and each generator is bitwise the uncached
+    # scatter's
+    cache = liouvillian_module._scatter_structure
     cache.cache_clear()
+    _affine_generator.cache_clear()
+    _affine_generator(3, "lower")
+    assert cache.cache_info()[:2] == (2, 11)  # hits, misses
     for delta0 in (0.01, 0.02):
         h, jumps, layout = build_full_model(FullModelParams(n_max=3, delta0=delta0))
         assert np.array_equal(build_liouvillian(h, jumps, layout).generator,
                               direct_generator(h, jumps))
-    assert cache.cache_info()[:2] == (1, 1)  # hits, misses
+    assert cache.cache_info()[:2] == (3, 12)
     h, jumps, layout = reset_jump_model()
     assert np.array_equal(build_liouvillian(h, jumps, layout).generator,
                           direct_generator(h, jumps))
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("relaxation_operator", ["lower", "raise"])
+def test_table_columns_are_bitwise_differences_of_direct_scatters(n_max, relaxation_operator):
+    # L_0 is the uncached scatter of the model with every linear parameter
+    # 0, and G_k that of the model with p_k = 1 minus L_0, bit for bit; the
+    # table stores every position where one of them is nonzero
+    base = FullModelParams(n_max=n_max, relaxation_operator=relaxation_operator,
+                           **dict.fromkeys(_LINEAR_FIELDS, 0.0))
+    l_0 = direct_generator(*build_full_model(base)[:2])
+    row_col, coef = _affine_generator(n_max, relaxation_operator)
+    for k, name in enumerate(("L_0", *_LINEAR_FIELDS)):
+        want = l_0
+        if k:
+            want = direct_generator(*build_full_model(
+                dataclasses.replace(base, **{name: 1.0}))[:2]) - l_0
+        column = np.zeros_like(want)
+        column[tuple(row_col)] = coef[:, k]
+        assert np.array_equal(column, want), name
 
 
 def kron_assembly(h, jumps):

@@ -1,6 +1,8 @@
 """Tests for the full and effective models and the collective-basis forms."""
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from ddesim import (
     rabi_frequency,
     steady_state,
 )
+from ddesim import models as models_module
 from ddesim.liouvillian import _hermitian_index, unvec, vec
 from ddesim.models import (
     _LINEAR_FIELDS,
@@ -61,7 +64,7 @@ def test_params_validation():
     with pytest.raises(ValueError):
         FullModelParams(delta0=np.inf)
     # only real numbers enter; float32 is compared in float64, where 1e150 stays finite
-    for bad in (0.01j, np.complex128(0.01), np.float32("inf"), np.float32("nan")):
+    for bad in (0.01j, np.complex128(0.01), np.float32("inf"), np.float32("nan"), True):
         with pytest.raises(ValueError, match="delta0"):
             FullModelParams(delta0=bad)
     with pytest.raises(ValueError, match="gamma_r0 must be a real number"):
@@ -73,7 +76,7 @@ def test_params_validation():
     with pytest.raises(ValueError, match="delta1"):
         FullModelParams(delta1=-1e308)
     assert FullModelParams(gamma_d0=1e150, delta0=-1e150).gamma_d0 == 1e150
-    for n_max in (0, 2.5):
+    for n_max in (0, 2.5, True):
         with pytest.raises(ValueError, match="n_max must be an integer"):
             FullModelParams(n_max=n_max)
     with pytest.raises(ValueError):
@@ -391,11 +394,20 @@ def test_cached_tables_are_read_only():
     liou = full_model_liouvillian(p)
     layout, a, qubits = _full_model_operators(p.n_max)
     lowers, numbers, coincidence, number_sum = _emission_operators(layout)
-    cached = [liou.values, liou.generator, *_affine_generator(p.n_max, p.relaxation_operator),
+    cached = [liou.values, *_affine_generator(p.n_max, p.relaxation_operator),
               a, *qubits[0], *qubits[1], *_hermitian_index(layout.total_dim),
               *lowers, *numbers, coincidence, number_sum]
     assert not any(arr.flags.writeable for arr in cached)
-    index, coef, row_col = _affine_generator(p.n_max, p.relaxation_operator)
-    assert coef.shape == (index.size, 13)
-    assert np.all(np.diff(index) > 0)
-    assert np.array_equal(row_col[0] * liou.dim ** 2 + row_col[1], index)
+    row_col, coef = _affine_generator(p.n_max, p.relaxation_operator)
+    assert coef.shape == (row_col.shape[1], 13)
+    assert np.all(np.diff(row_col[0] * liou.dim ** 2 + row_col[1]) > 0)
+
+
+def test_models_imports_only_public_names_of_liouvillian():
+    # the affine table is built through build_liouvillian, the public engine,
+    # not from its private scatter
+    tree = ast.parse(Path(models_module.__file__).read_text())
+    names = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "liouvillian"
+             for alias in node.names]
+    assert names and not [name for name in names if name.startswith("_")]

@@ -302,6 +302,10 @@ def test_g2_trace_grid_validation():
         g2_trace(liou, rho, 1000.0, n_samples=1000)
     with pytest.raises(ValueError):
         g2_trace(liou, rho, 1000.0, n_samples=128)
+    # a float is no sample count, even at a power of two
+    for n_samples in (256.0, np.float64(512)):
+        with pytest.raises(ValueError, match="n_samples must be a power of two"):
+            g2_trace(liou, rho, 1000.0, n_samples)
 
 
 def test_g2_trace_unconverged_tail_raises():
@@ -380,8 +384,10 @@ def test_extract_timescale_monotone_relaxation_raises():
 
 
 def test_extract_timescale_requires_positive_rate():
-    with pytest.raises(ValueError):
-        extract_timescale(synthetic_trace(2000.0, 4096), 0.0)
+    # a NaN rate would give a NaN period in seconds, an infinite one 0 s
+    for rate in (0.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="gamma_a_abs must be positive and finite"):
+            extract_timescale(synthetic_trace(2000.0, 4096), rate)
 
 
 def test_correlation_trace_arrays_read_only():
