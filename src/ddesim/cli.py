@@ -4,9 +4,11 @@ Subcommands: populations (driven population dynamics vs the closed form),
 steady (one steady state in full detail), concurrence-map and timescale-map
 (parameter-grid sweeps), g2 (one correlation trace), validate (invariant
 battery). Every data command writes a CSV plus a <out>.meta.json sidecar;
-CSV bytes are reproducible for identical configuration at a fixed BLAS
-thread count (OPENBLAS_NUM_THREADS); a different count can move the last
-printed digit.
+CSV bytes are reproducible for identical configuration. main first sets the
+OpenBLAS copies that the numpy and scipy wheels bundle to one thread
+(_pin_blas_threads), whatever OPENBLAS_NUM_THREADS says: a thread count
+can move the last printed digit, and map workers, which inherit it, would
+oversubscribe the cores. meta.json records what the pin found.
 
 Exit codes: 0 success, 1 configuration, usage or I/O error, 2 numerical
 failure, 3 validation failure.
@@ -15,6 +17,8 @@ failure, 3 validation failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import dataclasses
 import json
 import os
@@ -56,6 +60,33 @@ _SETTINGS_READ = {
     "concurrence-map": (*_AXIS_KEYS, "workers"),
     "timescale-map": (*_AXIS_KEYS, "workers", "pi_units"),
 }
+
+
+# the suffix of the thread setter and getter that the OpenBLAS bundled in
+# <package>.libs, beside each package's directory, exports, and their types
+_BUNDLED_BLAS = {"numpy": "64_", "scipy": ""}
+_SET_THREADS = ctypes.CFUNCTYPE(None, ctypes.c_int)
+_GET_THREADS = ctypes.CFUNCTYPE(ctypes.c_int)
+
+
+def _pin_blas_threads() -> dict:
+    """Set the bundled OpenBLAS of numpy and of scipy to one thread, where loaded.
+
+    Each library is reached with ctypes only if this process has already
+    loaded it (RTLD_NOLOAD), and set through its own exported setter.
+    Returns the thread count each reports afterwards, None for one not
+    found or without the functions, which keeps its threading, and
+    whether both read 1.
+    """
+    threads = dict.fromkeys(_BUNDLED_BLAS)
+    for package, suffix in _BUNDLED_BLAS.items():
+        libs = sys.modules[package].__path__[0] + ".libs"
+        for name in os.listdir(libs) if os.path.isdir(libs) else ():
+            with contextlib.suppress(OSError, AttributeError):
+                lib = ctypes.CDLL(os.path.join(libs, name), mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+                _SET_THREADS((f"scipy_openblas_set_num_threads{suffix}", lib))(1)
+                threads[package] = _GET_THREADS((f"scipy_openblas_get_num_threads{suffix}", lib))()
+    return {"threads": threads, "pinned": all(n == 1 for n in threads.values())}
 
 
 def _fmt(value) -> str:
@@ -295,11 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", help="output CSV path (default <command>.csv)")
         cmd.add_argument("--workers", type=int,
                          help="worker processes for map commands, at most one per cell "
-                              "(default: one per usable CPU; 1 runs in this process); "
-                              "each inherits the BLAS threading, so set "
-                              "OPENBLAS_NUM_THREADS=1 to keep several workers from "
-                              "oversubscribing the cores, and to keep the CSV bytes "
-                              "reproducible, which needs a fixed thread count")
+                              "(default: one per usable CPU; 1 runs in this process)")
         cmd.add_argument("--pi-units", action="store_true",
                          help="format map legend in T = 1/(pi*gamma_a) units")
     return parser
@@ -315,6 +342,7 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
+    blas = _pin_blas_threads()
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse's usage-error code 2 means numerical here
@@ -354,7 +382,7 @@ def main(argv=None) -> int:
     comments, header, rows, extra = payload
     try:
         _write_csv(out, comments, header, rows)
-        _write_meta(out, args.command, cfg, time.perf_counter() - t0, extra)
+        _write_meta(out, args.command, cfg, time.perf_counter() - t0, {**extra, "blas": blas})
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return 1

@@ -22,21 +22,24 @@ entries, their rows and columns and their values (7.7 k of 332 k at
 n_max 5); the steady-state solve reads them, and propagation scatters
 them, times its time step, into the dense matrix it exponentiates.
 
-The steady state is one real LU solve of L_H with the trace condition
-substituted for the row of coordinate 0 (rho[0, 0]). Sorted by the key
-(n_i + n_j, q_i + q_j, n_i - n_j) of their entry (i, j), where n is the
-boson level and q the qubit excitations, the coordinates make L_H a band
-matrix: each term of the model moves n_i + n_j by at most 2. The full
+The steady state is one real banded LU solve of L_H with the trace
+condition substituted for the row of coordinate 0 (rho[0, 0]). Sorted by
+the key (n_i + n_j, q_i + q_j, n_i - n_j) of their entry (i, j), where n is
+the boson level and q the qubit excitations, the coordinates make L_H a
+band matrix: each term of the model moves n_i + n_j by at most 2. The full
 model has kl = 94-98 subdiagonals and ku = 176 superdiagonals at n_max 5,
-out of n = 576; the band grows linearly in n_max, n quadratically. The
-dense LU (dgetrf, about 2 n^3 / 3 flops) is kept where a banded one
-(dgbtrf, about 2 n kl (kl + ku)) would not save at least 12 Mflop: every
-generator with n <= 262 stays dense, which keeps the full model dense up
-to n_max 3 and banded from n_max 4. In the banded solve the row of
-coordinate 0, the first in that order, holds only the in-band part of the
-trace row (the populations of the lowest boson levels): the kernel
-direction is the same, and the full trace normalizes the solution
-afterwards. The SteadyState it returns keeps l, its rcond and residual.
+out of n = 576; the band grows linearly in n_max, n quadratically. Every
+generator, whatever its size, is gathered into band storage and factored
+with dgbtrf (about 2 n kl (kl + ku) flops); at n_max 2, where the band
+spans most of the n = 144 matrix, that is still cheaper than the dense
+dgetrf. The row of coordinate 0, the first in that order, holds only the
+in-band part of the trace row (the populations of the lowest boson
+levels): the kernel direction is the same, and the full trace normalizes
+the solution afterwards. One step of iterative refinement with the same
+factor takes the solution to the rounding of the stored generator, which
+the LU alone misses by up to eps / rcond on ill-conditioned cells. The
+SteadyState it returns keeps l, its rcond and the residual of the refined
+solution.
 
 Propagation works on the coordinates and lives only here, and every path
 takes its exponential from _scaled_exponential: a truncated Taylor series
@@ -66,7 +69,7 @@ import numpy as np
 # the package first: with a scipy.linalg submodule as the first import,
 # `import ddesim` took about 2 ms longer
 import scipy.linalg
-from scipy.linalg.lapack import dgbcon, dgbtrf, dgbtrs, dgecon, dgetrf, dgetrs, dlange
+from scipy.linalg.lapack import dgbcon, dgbtrf, dgbtrs, dlange
 
 from .operators import (
     EIG_TOL,
@@ -86,9 +89,6 @@ RESIDUAL_TOL = 1e-10
 # sectors (~1e-20)
 RCOND_TOL = 1e-11
 TRACE_DRIFT_TOL = 1e-9
-# flops a banded steady-state LU must save over the dense one (_band_plan);
-# above the whole dense LU at n = 256 (11.2 Mflop)
-BAND_MIN_SAVING = 12e6
 # largest deviation of a time step from the mean step, relative to it, that
 # still counts as a uniform grid (np.linspace rounds at about 1e-13)
 UNIFORM_GRID_RTOL = 1e-9
@@ -591,25 +591,27 @@ class SteadyState(DensityMatrix):
 def steady_state(l: Liouvillian) -> SteadyState:
     """Unique fixed point of the generator, with the rcond and residual of its solve.
 
-    One real LU solve of L_H bordered by the trace condition, the sum of
-    the diagonal coordinates, in place of the row of coordinate 0. The
-    solution is trace-normalized and is Hermitian by construction. The LU
-    is dense (dgetrf) or banded (dgbtrf), as _band_of decides from the size
-    and the nonzero entries (module docstring). The reciprocal
-    condition number from the same LU factor decides whether the kernel is
-    unique. The one eigendecomposition is the positivity check of the
-    DensityMatrix construction.
+    One real banded LU of L_H bordered by the trace condition, the sum of
+    the diagonal coordinates inside the band, in place of the row of
+    coordinate 0, and one step of iterative refinement with the same
+    factor (_bordered_kernel). The solution is trace-normalized and is
+    Hermitian by construction. The reciprocal condition number from the
+    LU factor decides whether the kernel is unique, and the residual is
+    that of the refined coordinates. The one eigendecomposition is the
+    positivity check of the DensityMatrix construction.
 
     Raises
     ------
     DegenerateSteadyStateError
         If the bordered matrix is singular or its reciprocal condition
-        number is below 1e-11 (decoupled sectors).
+        number is below 1e-11: decoupled sectors, or a steady state with
+        no weight on the traced populations (a qubit pumped by sigma+
+        alone), which the in-band border cannot normalize.
     NumericalError
         If the residual is not below 1e-10 or the state has an eigenvalue
         below -1e-9.
     """
-    c, rcond = _bordered_kernel(l, _band_of(l))
+    c, rcond = _bordered_kernel(l)
     res = _residual(l, c)
     if not res < RESIDUAL_TOL:
         raise NumericalError(
@@ -626,12 +628,11 @@ class _Band(NamedTuple):
 
     kl: int
     ku: int
-    pays: bool
     order: np.ndarray
     src: np.ndarray
     dst: np.ndarray
     col: np.ndarray
-    border: np.ndarray
+    traced: np.ndarray
 
 
 @functools.lru_cache(maxsize=16)
@@ -668,63 +669,62 @@ class _Identity:
 
 @functools.lru_cache(maxsize=8)
 def _band_plan(dims: tuple[int, ...], row_col: _Identity, nonzero: bytes) -> _Band:
-    """The band of a generator in the coordinate order, and whether a banded LU pays.
+    """The band of a generator in the coordinate order, and the plan that gathers it.
 
     row_col wraps that of an L_H on a layout of dimensions dims, and
     nonzero is np.packbits(values != 0) of its stored values. In the order
     of _coordinate_order, the nonzero entries lie within kl subdiagonals
-    and ku superdiagonals. A banded LU costs about 2 n kl (kl + ku) flops
-    against 2 n^3 / 3 dense; it pays where it saves BAND_MIN_SAVING flops
-    with its own count weighted 1.5 (dgbtrf ran at 0.55-0.8x the flop rate
-    of dgetrf from n = 400 to 1936 at one BLAS thread). The plan holds the
-    indices src into the values of the nonzero entries off the row of
-    coordinate 0, their positions dst in the Fortran-ordered band storage
-    of dgbtrf and columns col, and those of the border's ones (to ku).
+    and ku superdiagonals. The plan gathers the bordered band: src indexes
+    the values with a 1 appended, the nonzero entries off the row of
+    coordinate 0 and then, for the trace border, the appended 1 once per
+    diagonal coordinate in traced, those within ku of coordinate 0. dst
+    holds their positions in the Fortran-ordered band storage of dgbtrf
+    and col their columns.
     """
     order = _coordinate_order(dims)
-    n = order.size
     rank = np.argsort(order)
     rows, cols = row_col.obj
     live = np.flatnonzero(np.unpackbits(np.frombuffer(nonzero, np.uint8), count=rows.size))
     row, col = rank[rows[live]], rank[cols[live]]
     kl = int(np.max(row - col, initial=0))
     ku = int(np.max(col - row, initial=0))
-    pays = 2 * n ** 3 / 3 - 3 * n * kl * (kl + ku) >= BAND_MIN_SAVING
     ldab = 2 * kl + ku + 1
     keep = np.flatnonzero(row)
-    diag = rank[:math.prod(dims)]
-    diag = diag[diag <= ku]
-    row, col = row[keep], col[keep]
-    plan = _Band(kl, ku, pays, order, live[keep], col * ldab + kl + ku + row - col, _narrow(col),
-                 diag * ldab + kl + ku - diag)
-    for a in plan[3:]:
+    traced = np.flatnonzero(rank[:math.prod(dims)] <= ku)
+    src = np.concatenate((live[keep], np.full(traced.size, rows.size)))
+    row = np.concatenate((row[keep], np.zeros_like(traced)))
+    col = np.concatenate((col[keep], rank[traced]))
+    plan = _Band(kl, ku, order, src, col * ldab + kl + ku + row - col, _narrow(col), traced)
+    for a in plan[2:]:
         a.flags.writeable = False
     return plan
 
 
-def _band_of(l: Liouvillian) -> _Band | None:
-    """The band plan steady_state factors the generator of l with, or None for a dense LU.
+def _band_of(l: Liouvillian) -> _Band:
+    """The band plan steady_state gathers the generator of l with.
 
     Plans are cached per row_col array by identity (one per scatter
     structure and per table) and per nonzero (or NaN) values: a stored 0,
-    as where the table's eta_a is 0, can widen the band (kl 98 for 94 at
-    n_max 5). No n <= 262 is inspected: too small to save BAND_MIN_SAVING.
+    as where the table's eta_a is 0, would widen the band if it counted
+    (kl 98 for 94 at n_max 5).
     """
-    if 2 * l.dim ** 6 / 3 < BAND_MIN_SAVING:
-        return None
-    band = _band_plan(l.layout.dims, _Identity(l.row_col), np.packbits(l.values != 0).tobytes())
-    return band if band.pays else None
+    return _band_plan(l.layout.dims, _Identity(l.row_col), np.packbits(l.values != 0).tobytes())
 
 
-def _bordered_kernel(l: Liouvillian, band: _Band | None) -> tuple[np.ndarray, float]:
+def _bordered_kernel(l: Liouvillian) -> tuple[np.ndarray, float]:
     """Coordinates of the trace-one kernel vector of L_H, and the rcond of its bordered LU.
 
-    band None solves the stored entries scattered into a Fortran-ordered
-    zero matrix, the row of coordinate 0 replaced by the trace row. Else
-    band gathers them into band storage in the coordinate order, whose row
-    of coordinate 0 holds the in-band part of the trace row (the same
-    kernel direction; the trace normalizes either way), and sums its
-    1-norm for the rcond estimate per column from the gathered entries.
+    _band_of's plan gathers the stored entries into band storage in the
+    coordinate order, whose row of coordinate 0 holds the in-band part of
+    the trace row (the same kernel direction; the full trace normalizes
+    the solution), and the 1-norm for the rcond estimate is summed per
+    column from the gathered entries, the border's ones included. One step
+    of fixed-precision iterative refinement with the same factor follows:
+    the bordered residual e_0 - A x, whose L_H x is one bincount over the
+    stored entries and whose row 0 is 1 minus the traced sum, and one
+    dgbtrs for the correction. The LU alone can leave errors of about
+    eps / rcond in x; one step makes the solve backward stable entry by
+    entry (Skeel, Math. Comp. 35, 817 (1980)).
 
     Raises
     ------
@@ -732,41 +732,26 @@ def _bordered_kernel(l: Liouvillian, band: _Band | None) -> tuple[np.ndarray, fl
         If the bordered matrix is singular or its reciprocal condition
         number is below RCOND_TOL.
     """
-    d = l.dim
-    n = d * d
-    b = np.eye(n, 1)
-    if band is None:
-        row, col = l.row_col
-        a = np.zeros((n, n), order="F")
-        a.reshape(-1, order="F")[col * n + row] = l.values
-        a[0] = 0.0
-        a[0, :d] = 1.0
-        anorm = dlange("1", a)
-        lu, piv, info = dgetrf(a, overwrite_a=True)
-        rcond = dgecon(lu, anorm)[0] if info == 0 else 0.0
-    else:
-        kl, ku = band.kl, band.ku
-        ab = np.zeros((2 * kl + ku + 1, n), order="F")
-        flat = ab.reshape(-1, order="F")
-        entries = l.values[band.src]
-        flat[band.dst] = entries
-        flat[band.border] = 1.0
-        colsum = np.bincount(band.col, np.abs(entries), minlength=n)
-        colsum[band.border // ab.shape[0]] += 1.0
-        anorm = float(np.max(colsum))
-        lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=True)
-        rcond = dgbcon(kl, ku, lu, piv, anorm)[0] if info == 0 else 0.0
+    band = _band_of(l)
+    n = l.dim ** 2
+    kl, ku, order = band.kl, band.ku, band.order
+    ab = np.zeros((2 * kl + ku + 1, n), order="F")
+    entries = np.append(l.values, 1.0)[band.src]
+    ab.reshape(-1, order="F")[band.dst] = entries
+    colsum = np.bincount(band.col, np.abs(entries), minlength=n)
+    lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=True)
+    rcond = dgbcon(kl, ku, lu, piv, float(np.max(colsum)))[0] if info == 0 else 0.0
     if rcond < RCOND_TOL:
         raise DegenerateSteadyStateError(
             f"Liouvillian kernel is degenerate (reciprocal condition {rcond:.3e} of "
             f"the trace-bordered generator is below {RCOND_TOL:.0e}); no unique "
             "steady state. This signals a decoupled-sector parameter choice.")
-    if band is None:
-        c = dgetrs(lu, piv, b)[0][:, 0]
-    else:
-        c = np.empty(n)
-        c[band.order] = dgbtrs(lu, kl, ku, b, piv)[0][:, 0]
-    return c / c[:d].sum(), float(rcond)
+    x = np.empty(n)
+    x[order] = dgbtrs(lu, kl, ku, np.eye(n, 1), piv)[0][:, 0]
+    r = -np.bincount(l.row_col[0], l.values * x[l.row_col[1]], minlength=n)
+    r[0] = 1.0 - x[band.traced].sum()
+    x[order] += dgbtrs(lu, kl, ku, r[order], piv)[0]
+    return x / x[:l.dim].sum(), float(rcond)
 
 
 def _residual(l: Liouvillian, c: np.ndarray) -> float:

@@ -209,7 +209,7 @@ def g2_trace(l: Liouvillian, rho_ss: DensityMatrix, tau_max: float,
     provides the standard window for a parameter set. n_samples must be a
     power of two >= 256 (the grid feeds an FFT downstream).
     """
-    if not (np.isfinite(tau_max) and tau_max > 0):
+    if isinstance(tau_max, (bool, np.bool_)) or not 0 < tau_max < np.inf:
         raise ValueError(f"tau_max must be positive and finite, got {tau_max}")
     if not _is_integer(n_samples) or n_samples < MIN_N_SAMPLES or n_samples & (n_samples - 1):
         raise ValueError(f"n_samples must be a power of two >= {MIN_N_SAMPLES}, got {n_samples}")
@@ -293,7 +293,7 @@ def extract_timescale(trace: CorrelationTrace, gamma_a_abs: float) -> TimescaleR
     whose peak is under 3 times the median magnitude has no usable
     oscillation and raises FlatSpectrumError.
     """
-    if not (np.isfinite(gamma_a_abs) and gamma_a_abs > 0):
+    if isinstance(gamma_a_abs, (bool, np.bool_)) or not 0 < gamma_a_abs < np.inf:
         raise ValueError(f"gamma_a_abs must be positive and finite, got {gamma_a_abs}")
     y = trace.normalized - 1.0
     n = y.size

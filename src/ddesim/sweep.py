@@ -170,7 +170,7 @@ def _build_cell_tables(base: FullModelParams) -> None:
     of the table's scatter structures in build_liouvillian's cache, 0.13 MB
     at n_max 2), and the layout's emission-operator table of g2(0) and
     g2(tau). Cells whose generator has the nonzero pattern of the base's
-    also share its steady-state band plan, where the solve is banded.
+    also share its steady-state band plan.
     """
     _emission_operators(qubit_pair_boson_layout(base.n_max))
     _band_of(full_model_liouvillian(base))

@@ -9,9 +9,10 @@ the generator every command uses, full_model_liouvillian's
 parameter-affine table; the steady-state check holds that table, summed
 from the build_liouvillian of thirteen fixed models, to the direct assembly
 build_liouvillian(*build_full_model(p)) at random points, which checks that
-the generator is affine in the parameters, and holds the banded
-steady-state solve at n_max 5 to the dense one. Each check reports
-ok/FAIL; any failure makes the battery fail as a whole.
+the generator is affine in the parameters, and holds the banded, refined
+steady-state solve at n_max 5 to bordered_oracle, a dense LU of the same
+generator. Each check reports ok/FAIL; any failure makes the battery fail
+as a whole.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ import numpy as np
 import scipy.linalg
 
 from .liouvillian import (
+    RCOND_TOL,
+    DegenerateSteadyStateError,
     JumpTerm,
-    _band_of,
     _block_length,
-    _bordered_kernel,
     _hermitian_vec,
     build_liouvillian,
     evolve,
@@ -118,14 +119,32 @@ def _check_steady_state(rng):
         assert rho.residual < 1e-10, f"steady-state residual {rho.residual:.3e}"
         mineig = np.linalg.eigvalsh(rho.matrix).min()
         assert mineig > -1e-9, f"steady-state min eigenvalue {mineig:.3e}"
-    # one fixed point past the dense limit, with boson drive: the banded
-    # solve against the dense bordered oracle; it draws no rng values, so
-    # later checks see the same stream
+    # one fixed point with boson drive at n_max 5: the banded, refined solve
+    # against the dense bordered oracle; it draws no rng values, so later
+    # checks see the same stream
     liou = full_model_liouvillian(FullModelParams(n_max=5, eta_a=0.3))
-    assert _band_of(liou) is not None, "n_max 5 no longer takes the banded steady-state solve"
-    oracle = unvec(_hermitian_vec(_bordered_kernel(liou, None)[0]))
+    oracle = unvec(_hermitian_vec(bordered_oracle(liou)[0]))
     err = np.abs(steady_state(liou).matrix - oracle).max()
     assert err < 1e-12, f"banded steady state deviates from the dense solve by {err:.3e}"
+
+
+def bordered_oracle(l) -> tuple[np.ndarray, float]:
+    """Oracle for steady_state: the trace-one kernel coordinates of L_H and the rcond of their LU.
+
+    A dense LU (scipy.linalg.lapack's dgetrf, dgecon, dgetrs) of
+    Liouvillian.generator with the row of coordinate 0 replaced by the
+    whole trace row, in the natural coordinate order: no band, no
+    reordering and no refinement, so it checks all three. Raises
+    DegenerateSteadyStateError where the rcond is below RCOND_TOL.
+    """
+    a = l.generator
+    a[0] = np.arange(a.shape[1]) < l.dim  # the trace row
+    lu, piv, info = scipy.linalg.lapack.dgetrf(a)
+    rcond = scipy.linalg.lapack.dgecon(lu, np.abs(a).sum(axis=0).max())[0] if info == 0 else 0.0
+    if rcond < RCOND_TOL:
+        raise DegenerateSteadyStateError(f"dense bordered oracle: rcond {rcond:.3e}")
+    c = scipy.linalg.lapack.dgetrs(lu, piv, np.eye(a.shape[0], 1))[0][:, 0]
+    return c / c[:l.dim].sum(), float(rcond)
 
 
 def integrator_states(l, rho0: DensityMatrix, times) -> list[np.ndarray]:

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface and config parsing."""
 
+import ctypes
 import importlib.util
 import json
 import os
@@ -11,7 +12,9 @@ import numpy as np
 import pytest
 
 import ddesim
+import ddesim.cli
 import ddesim.observables
+import ddesim.sweep
 from ddesim import __version__
 from ddesim.cli import main
 from ddesim.config import _KEY_TYPES, ConfigError, parse_config
@@ -361,6 +364,45 @@ def test_workers_flag_overrides_set(tmp_path):
     assert meta["settings"]["workers"] == 1
 
 
+def bundled_blas():
+    """The thread (setter, getter) of each OpenBLAS in numpy.libs and scipy.libs loaded here."""
+    found = {}
+    for package, suffix in ddesim.cli._BUNDLED_BLAS.items():
+        libs = Path(sys.modules[package].__file__).parent.parent / f"{package}.libs"
+        for path in libs.glob("libscipy_openblas*") if libs.is_dir() else ():
+            lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+            found[package] = (
+                ddesim.cli._SET_THREADS((f"scipy_openblas_set_num_threads{suffix}", lib)),
+                ddesim.cli._GET_THREADS((f"scipy_openblas_get_num_threads{suffix}", lib)))
+    return found
+
+
+def test_forked_map_workers_run_one_blas_thread(monkeypatch, tmp_path):
+    # main sets both bundled OpenBLAS copies to one thread before it forks
+    # the map workers, so each worker reads one thread, whatever the parent
+    # had; each cell reports what its worker's libraries read
+    blas = bundled_blas()
+    if len(blas) < 2:
+        pytest.skip(f"no bundled OpenBLAS of numpy and scipy: {sorted(blas)}")
+    before = [get_threads() for _, get_threads in blas.values()]
+    for set_threads, _ in blas.values():
+        set_threads(2)
+    monkeypatch.setattr(ddesim.sweep, "_observe", lambda params, observables: (
+        get_threads() for _, get_threads in blas.values()))
+    out = tmp_path / "m.csv"
+    try:
+        assert main(["concurrence-map", "--out", str(out), "--workers", "2",
+                     "--set", "axis1=delta0", "--set", "axis1_min=-0.02",
+                     "--set", "axis1_max=0.02", "--set", "axis1_points=2"]) == 0
+    finally:
+        for (set_threads, _), threads in zip(blas.values(), before):
+            set_threads(threads)
+    _, header, rows = read_csv(out)
+    assert column(header, rows, "concurrence") == column(header, rows, "g2_zero") == [1.0, 1.0]
+    meta = json.loads((tmp_path / "m.csv.meta.json").read_text())
+    assert meta["blas"] == {"threads": {"numpy": 1, "scipy": 1}, "pinned": True}
+
+
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
@@ -427,15 +469,16 @@ def test_steady_state_check_compares_every_table_column(monkeypatch, name):
 
 
 def test_steady_state_check_compares_the_banded_solve_with_the_dense_one(monkeypatch):
-    # a 1e-11 ripple on the banded solution stays below the residual bound
-    # but not below the check's 1e-12 agreement with the dense oracle
-    original = ddesim.liouvillian.dgbtrs
+    # a 1e-11 ripple on the refined banded solution stays below the
+    # residual bound but not below the check's 1e-12 agreement with the
+    # dense oracle (a ripple on each dgbtrs would be refined away)
+    original = ddesim.liouvillian._bordered_kernel
 
-    def rippled(*args, **kwargs):
-        x, info = original(*args, **kwargs)
-        return x * (1 + 1e-11 * np.sin(np.arange(x.size)))[:, None], info
+    def rippled(l):
+        c, rcond = original(l)
+        return c * (1 + 1e-11 * np.sin(np.arange(c.size))), rcond
 
-    monkeypatch.setattr("ddesim.liouvillian.dgbtrs", rippled)
+    monkeypatch.setattr("ddesim.liouvillian._bordered_kernel", rippled)
     with pytest.raises(AssertionError, match="dense solve"):
         dict(CHECKS)["steady-state contract"](np.random.default_rng(SEED))
 

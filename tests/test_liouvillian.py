@@ -45,7 +45,7 @@ from ddesim.liouvillian import (
 )
 from ddesim.models import _LINEAR_FIELDS, _affine_generator
 from ddesim.operators import QUBIT_NUMBER, SIGMA_Z
-from ddesim.validate import integrator_states
+from ddesim.validate import bordered_oracle, integrator_states
 
 
 def random_density(rng, dim):
@@ -131,13 +131,6 @@ def from_dense(layout, generator):
     """The Liouvillian that stores the nonzero entries of a dense L_H (NaN counts as nonzero)."""
     row_col = np.array(np.nonzero(generator))
     return Liouvillian(layout, row_col, generator[tuple(row_col)])
-
-
-def band_plan(liou):
-    """_band_of's plan for liou, also where a banded LU would not pay."""
-    return liouvillian_module._band_plan(liou.layout.dims,
-                                         liouvillian_module._Identity(liou.row_col),
-                                         np.packbits(liou.values != 0).tobytes())
 
 
 def test_liouvillian_compares_and_hashes_by_identity():
@@ -504,30 +497,35 @@ def recording(factored, name, real):
 
 
 def test_steady_state_factors_one_real_matrix(monkeypatch):
-    # one real LU of the bordered d^2 x d^2 generator, and no complex one
+    # one real banded LU of the bordered d^2 x d^2 generator at the map
+    # cells' n_max 2 (kl 46, ku 80 in the boson-number order), no dense or
+    # complex one, and two solves with it: the solution and its refinement;
+    # the dense oracle of the same generator makes the dense LU, and the
+    # two agree
     factored = []
-    monkeypatch.setattr(liouvillian_module, "dgetrf",
-                        recording(factored, "dgetrf", liouvillian_module.dgetrf))
-    monkeypatch.setattr(liouvillian_module, "dgbtrf",
-                        recording(factored, "dgbtrf", liouvillian_module.dgbtrf))
-    monkeypatch.setattr(scipy.linalg.lapack, "zgetrf",
-                        recording(factored, "zgetrf", scipy.linalg.lapack.zgetrf))
-    monkeypatch.setattr(scipy.linalg, "lu_factor",
-                        recording(factored, "lu_factor", scipy.linalg.lu_factor))
-    monkeypatch.setattr(np.linalg, "solve", recording(factored, "solve", np.linalg.solve))
+    for name in ("dgbtrf", "dgbtrs"):
+        monkeypatch.setattr(liouvillian_module, name,
+                            recording(factored, name, getattr(liouvillian_module, name)))
+    for module, name in ((scipy.linalg.lapack, "dgetrf"), (scipy.linalg.lapack, "zgetrf"),
+                         (scipy.linalg, "lu_factor"), (np.linalg, "solve")):
+        monkeypatch.setattr(module, name, recording(factored, name, getattr(module, name)))
     liou = build_liouvillian(*build_full_model(FullModelParams()))
-    steady_state(liou)
+    rho = steady_state(liou)
     n = liou.dim ** 2
+    assert [f[0] for f in factored] == ["dgbtrf", "dgbtrs", "dgbtrs"]
+    assert factored[0][1:] == ((2 * 46 + 80 + 1, n), np.dtype(np.float64))
+    factored.clear()
+    oracle = bordered_oracle(liou)[0]
     assert factored == [("dgetrf", (n, n), np.dtype(np.float64))]
+    assert np.abs(rho.matrix - unvec(liouvillian_module._hermitian_vec(oracle))).max() < 1e-12
 
 
 def test_steady_state_factors_one_banded_matrix_at_n_max_5(monkeypatch):
     # kl = 94 subdiagonals and ku = 176 superdiagonals in the boson-number
-    # order: one dgbtrf of the (2 kl + ku + 1) x d^2 band storage, no dgetrf
+    # order: one dgbtrf of the (2 kl + ku + 1) x d^2 band storage
     factored = []
-    for name in ("dgetrf", "dgbtrf"):
-        monkeypatch.setattr(liouvillian_module, name,
-                            recording(factored, name, getattr(liouvillian_module, name)))
+    monkeypatch.setattr(liouvillian_module, "dgbtrf",
+                        recording(factored, "dgbtrf", liouvillian_module.dgbtrf))
     liou = build_liouvillian(*build_full_model(FullModelParams(n_max=5)))
     steady_state(liou)
     assert factored == [("dgbtrf", (2 * 94 + 176 + 1, liou.dim ** 2), np.dtype(np.float64))]
@@ -537,13 +535,11 @@ def test_banded_solve_rejects_a_nan_generator():
     # a NaN inside the band reaches the banded LU; one in the row of
     # coordinate 0, which the trace border replaces, reaches the residual
     liou = build_liouvillian(*build_full_model(FullModelParams(n_max=5)))
-    assert liouvillian_module._band_of(liou) is not None
     d = liou.dim
     for row, col in ((d + 3, 7), (0, 7)):
         generator = liou.generator.copy()
         generator[row, col] = np.nan
         broken = from_dense(liou.layout, generator)
-        assert liouvillian_module._band_of(broken) is not None
         with pytest.raises(NumericalError):
             steady_state(broken)
 
@@ -551,25 +547,41 @@ def test_banded_solve_rejects_a_nan_generator():
 def test_band_keeps_a_jump_across_the_whole_boson_ladder():
     # |0><n_max| on the boson couples the populations of levels n_max and 0,
     # far outside the band of the model; the measured band must hold every
-    # nonzero entry of the generator, whether or not it then pays
+    # nonzero entry of the generator and, in the row of coordinate 0, the
+    # ones of every diagonal coordinate inside it, and the solve agree with
+    # the dense oracle's
     h, jumps, layout = reset_jump_model()
     liou = build_liouvillian(h, jumps, layout)
     g = liou.generator
-    band = band_plan(liou)
+    band = liouvillian_module._band_of(liou)
     order = liouvillian_module._coordinate_order(layout.dims)
+    rank = np.argsort(order)[:liou.dim]
+    assert np.array_equal(band.traced, np.flatnonzero(rank <= band.ku))
     ldab = 2 * band.kl + band.ku + 1
     storage = np.zeros(ldab * g.shape[0])
-    storage[band.dst] = liou.values[band.src]
+    storage[band.dst] = np.append(liou.values, 1.0)[band.src]
     permuted = g[np.ix_(order, order)]
-    rows, cols = np.nonzero(permuted[1:])
-    rows += 1
+    permuted[0] = 0.0
+    permuted[0, rank[band.traced]] = 1.0
+    rows, cols = np.nonzero(permuted)
     assert np.array_equal(storage[cols * ldab + band.kl + band.ku + rows - cols],
                           permuted[rows, cols])
     assert np.count_nonzero(storage) == rows.size
-    dense = liouvillian_module._bordered_kernel(liou, None)[0]
-    assert np.abs(liouvillian_module._bordered_kernel(liou, band)[0] - dense).max() < 1e-12
+    dense = bordered_oracle(liou)[0]
+    assert np.abs(liouvillian_module._bordered_kernel(liou)[0] - dense).max() < 1e-12
     rho = steady_state(liou)
     assert np.abs(rho.matrix - unvec(liouvillian_module._hermitian_vec(dense))).max() < 1e-12
+
+
+@pytest.mark.parametrize("n_max", range(1, 9))
+def test_trace_border_covers_the_boson_vacuum(n_max):
+    # the in-band border normalizes the steady state only where it carries
+    # weight on the traced populations; every population of the boson
+    # vacuum, which the lossy boson keeps populated, is among them
+    for eta_a in (0.0, 0.3):
+        liou = full_model_liouvillian(FullModelParams(n_max=n_max, eta_a=eta_a))
+        vacuum = np.flatnonzero(np.arange(liou.dim) % (n_max + 1) == 0)
+        assert np.isin(vacuum, liouvillian_module._band_of(liou).traced).all()
 
 
 def test_banded_solve_takes_its_norm_from_the_gathered_entries(monkeypatch):
@@ -601,33 +613,34 @@ def test_banded_solve_takes_its_norm_from_the_gathered_entries(monkeypatch):
     assert calls == []
 
 
+# "dense" is n_max 2, the size of every map cell, whose band (kl 49, ku 80
+# at d^2 = 144) spans nearly the whole matrix; "banded" is n_max 5
 @pytest.mark.parametrize("n_max", [2, 5], ids=["dense", "banded"])
 def test_steady_state_carries_the_rcond_and_residual_of_its_solve(n_max):
-    # the bordered matrix rebuilt densely, in the coordinate order of the
-    # banded solve where steady_state takes it (there the trace border holds
-    # the diagonal coordinates inside the band), and judged by dgecon
+    # the bordered matrix rebuilt densely in the coordinate order of the
+    # banded solve (the trace border holds the diagonal coordinates inside
+    # the band), and judged by dgecon; the refined coordinates are the
+    # dense oracle's
     liou = full_model_liouvillian(FullModelParams(n_max=n_max, eta_a=0.1))
     rho = steady_state(liou)
     assert isinstance(rho, SteadyState) and rho.liouvillian is liou
     g, d = liou.generator, liou.dim
     band = liouvillian_module._band_of(liou)
-    assert (band is not None) == (n_max == 5)
-    order = np.arange(g.shape[0])
-    if band is not None:
-        order = liouvillian_module._coordinate_order(liou.layout.dims)
+    order = liouvillian_module._coordinate_order(liou.layout.dims)
     rank = np.argsort(order)[:d]
     a = g[np.ix_(order, order)]
     a[0] = 0.0
-    a[0, rank if band is None else rank[rank <= band.ku]] = 1.0
+    a[0, rank[rank <= band.ku]] = 1.0
     anorm = np.abs(a).sum(axis=0).max()
     lu, _ = scipy.linalg.lu_factor(a)
     assert rho.rcond == pytest.approx(dgecon(lu, anorm)[0], rel=1e-10)
     # the residual of the solved coordinates; read from the matrix instead,
     # it differs by the roundoff of the round trip
-    c, _ = liouvillian_module._bordered_kernel(liou, band)
+    c, _ = liouvillian_module._bordered_kernel(liou)
     assert rho.residual == liouvillian_module._residual(liou, c) < 1e-10
     bound = 8 * np.finfo(float).eps * np.abs(g).sum(axis=1).max()
     assert abs(rho.residual - steady_state_residual(liou, rho)) <= bound
+    assert np.abs(c - bordered_oracle(liou)[0]).max() < 1e-12
 
 
 def test_steady_state_makes_one_eigendecomposition(monkeypatch):

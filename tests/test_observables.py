@@ -273,17 +273,49 @@ def test_steady_state_of_the_generator_skips_the_residual_check(monkeypatch):
             g2_zero(l, state)
 
 
+# emitter 1 is undriven and uncoupled, so dark, and every rate of the
+# model but the boson's is tiny: rcond 4e-11 to 6e-11 at n_max 3 to 5
+ILL_CONDITIONED = FullModelParams(
+    delta0=-0.0918, delta1=0.00725, delta_a=0.2596, g0=0.0966, g1=0.0, eta0=0.0186, eta1=0.0,
+    eta_a=0.2828, gamma_r0=6.68e-9, gamma_r1=3.15e-9, gamma_d1=2.34e-9, n_max=3)
+
+
 def test_ill_conditioned_dark_emitter_is_flagged():
-    # emitter 1 is undriven and uncoupled, so dark, but its own rates are
-    # tiny: the roundoff of the solve, up to eps / rcond = 3.9e-6 here, gave
-    # it <n_1> = 6.6e-9 above WEIGHT_FLOOR and g2(0) the two-emitter 0.5
-    p = FullModelParams(delta0=-0.0918, delta1=0.00725, delta_a=0.2596, g0=0.0966, g1=0.0,
-                        eta0=0.0186, eta1=0.0, eta_a=0.2828, gamma_r0=6.68e-9,
-                        gamma_r1=3.15e-9, gamma_d1=2.34e-9, n_max=3)
+    # the refined solve leaves emitter 1 the roundoff of the stored
+    # generator (about 5e-17, below DARK_TOL), so it is reported dark and
+    # g2(0) is the one-emitter value <n_0 n_1> / (<n_0> <N>); an LU without
+    # refinement leaves it 6.6e-9, a bright weight under the eps / rcond
+    # floor
+    p = ILL_CONDITIONED
     rho = steady_state(full_model_liouvillian(p))
-    weight = rho.expect(embed(QUBIT_NUMBER, 1, rho.layout))
+    n0, n1 = (embed(QUBIT_NUMBER, i, rho.layout) for i in (0, 1))
+    assert abs(rho.expect(n1)) < ddesim.observables.DARK_TOL
+    one_emitter = rho.expect(n0 @ n1).real / (rho.expect(n0).real * rho.expect(n0 + n1).real)
+    assert g2_zero(rho.liouvillian, rho) == pytest.approx(one_emitter, rel=1e-12)
+    trace = g2_trace(rho.liouvillian, rho, default_tau_max(p), 256)
+    assert trace.bright_emitters == (0,) and trace.dark_emitters == (1,)
+    cell, _ = _evaluate_cell((p, ("concurrence", "g2_zero"), ()))
+    assert cell.ok and cell.g2_zero == pytest.approx(one_emitter, rel=1e-12)
+
+
+@pytest.mark.parametrize("n_max", [3, 4, 5])
+def test_ill_conditioned_point_solves_positive_at_every_truncation(n_max):
+    # without refinement the banded LU gives smallest eigenvalues of -5.6e-9,
+    # -5.4e-9 and -4.7e-9 here, past the -1e-9 positivity bound
+    rho = steady_state(full_model_liouvillian(dataclasses.replace(ILL_CONDITIONED, n_max=n_max)))
+    assert rho.rcond < 1e-10
+    assert np.linalg.eigvalsh(rho.matrix).min() >= -1e-15
+
+
+def test_faint_emitter_under_the_resolved_floor_is_flagged():
+    # a drive of 1e-6 on emitter 1 gives it <n_1> = 7.6e-8: above
+    # WEIGHT_FLOOR, but below the roundoff eps / rcond = 3.6e-6 that the
+    # ill-conditioned solve may carry, so its statistics are not resolved
+    p = dataclasses.replace(ILL_CONDITIONED, eta1=1e-6)
+    rho = steady_state(full_model_liouvillian(p))
+    weight = rho.expect(embed(QUBIT_NUMBER, 1, rho.layout)).real
     assert WEIGHT_FLOOR < weight < np.finfo(float).eps / rho.rcond
-    with pytest.raises(FaintEmitterError, match="floor 3.88e-06"):
+    with pytest.raises(FaintEmitterError, match="floor 3.59e-06"):
         g2_zero(rho.liouvillian, rho)
     with pytest.raises(FaintEmitterError):
         g2_trace(rho.liouvillian, rho, default_tau_max(p), 256)
@@ -298,6 +330,9 @@ def test_g2_trace_grid_validation():
         g2_trace(liou, rho, -5.0)
     with pytest.raises(ValueError):
         g2_trace(liou, rho, np.inf)
+    # a bool is not a delay, though Python counts True as 1
+    with pytest.raises(ValueError, match="tau_max must be positive and finite"):
+        g2_trace(liou, rho, True)
     with pytest.raises(ValueError):
         g2_trace(liou, rho, 1000.0, n_samples=1000)
     with pytest.raises(ValueError):
@@ -385,7 +420,7 @@ def test_extract_timescale_monotone_relaxation_raises():
 
 def test_extract_timescale_requires_positive_rate():
     # a NaN rate would give a NaN period in seconds, an infinite one 0 s
-    for rate in (0.0, np.nan, np.inf, -np.inf):
+    for rate in (0.0, np.nan, np.inf, -np.inf, True):
         with pytest.raises(ValueError, match="gamma_a_abs must be positive and finite"):
             extract_timescale(synthetic_trace(2000.0, 4096), rate)
 

@@ -31,7 +31,6 @@ from ddesim.liouvillian import (
     DegenerateSteadyStateError,
     _band_of,
     _band_plan,
-    _bordered_kernel,
     _Identity,
     _hermitian_coords,
     _hermitian_vec,
@@ -42,7 +41,8 @@ from ddesim.liouvillian import (
 )
 from ddesim.observables import _emission_operators, _emission_setup
 from ddesim.operators import QUBIT_NUMBER, SIGMA_MINUS, SIGMA_PLUS
-from test_liouvillian import (EXPONENTIAL_RTOL, band_plan, direct_generator, exponential_error,
+from ddesim.validate import bordered_oracle
+from test_liouvillian import (EXPONENTIAL_RTOL, direct_generator, exponential_error,
                              kron_assembly, reset_jump_model)
 
 PROPERTY_SETTINGS = settings(max_examples=10, deadline=None, derandomize=True,
@@ -289,35 +289,43 @@ def test_residual_matches_complex_expansion_bit_for_bit(p, seed):
 
 
 def bordered_solves(liou):
-    """The banded and the dense bordered solve of one generator: coordinates or the error."""
+    """steady_state's matrix and the dense oracle's for one generator, or the error of each."""
     out = []
-    for plan in (band_plan(liou), None):
+    for solve in (lambda: steady_state(liou).matrix,
+                  lambda: unvec(_hermitian_vec(bordered_oracle(liou)[0]))):
         try:
-            out.append(_bordered_kernel(liou, plan)[0])
+            out.append(solve())
         except DegenerateSteadyStateError as exc:
             out.append(exc)
     return out
 
 
 @PROPERTY_SETTINGS
-@given(params_strategy, st.integers(3, 6))
-@example(FullModelParams(g0=0.0, gamma_d0=0.0, gamma_r0=0.0), 4)
-def test_banded_and_dense_bordered_solves_agree(p, n_max):
-    # the banded LU of the boson-number-ordered generator and the dense LU
-    # reach the same kernel and the same degeneracy verdict, whichever of
-    # them steady_state takes at this n_max (the verdicts next to RCOND_TOL
-    # are test_near_degenerate_kernel_threshold's)
-    banded, dense = bordered_solves(full_model_liouvillian(dataclasses.replace(p, n_max=n_max)))
-    assert isinstance(banded, np.ndarray) == isinstance(dense, np.ndarray)
-    if isinstance(dense, np.ndarray):
-        assert np.abs(banded - dense).max() < 1e-12
+@given(params_strategy)
+@example(FullModelParams(g0=0.0, gamma_d0=0.0, gamma_r0=0.0))
+def test_banded_and_dense_bordered_solves_agree(p):
+    # at every n_max from 1 to 6 and with either relaxation operator, the
+    # refined banded LU of the boson-number-ordered generator, whose trace
+    # border holds only the populations inside the band, and the dense
+    # oracle's LU with the whole trace row reach the same state and the
+    # same degeneracy verdict (the verdicts next to RCOND_TOL are
+    # test_near_degenerate_kernel_threshold's)
+    for n_max in range(1, 7):
+        for relaxation_operator in ("lower", "raise"):
+            banded, dense = bordered_solves(full_model_liouvillian(dataclasses.replace(
+                p, n_max=n_max, relaxation_operator=relaxation_operator)))
+            assert isinstance(banded, np.ndarray) == isinstance(dense, np.ndarray)
+            if isinstance(dense, np.ndarray):
+                assert np.abs(banded - dense).max() < 1e-12
 
 
 def dense_pattern_band(liou):
     """Reference band of the dense generator, keyed on its nonzero pattern np.packbits(L_H != 0).
 
-    kl, ku, and the entries outside the row of coordinate 0 gathered in
-    ascending flat order with their positions in the band storage.
+    kl, ku, and the entries of the bordered band with their positions in
+    the band storage: those outside the row of coordinate 0 in ascending
+    flat order, then the border's ones at the diagonal coordinates inside
+    the band.
     """
     g = liou.generator
     n = g.shape[0]
@@ -326,24 +334,25 @@ def dense_pattern_band(liou):
     row, col = rank[src // n], rank[src % n]
     kl, ku = int(np.max(row - col, initial=0)), int(np.max(col - row, initial=0))
     live = row != 0
-    dst = col * (2 * kl + ku + 1) + kl + ku + row - col
-    return kl, ku, g.reshape(-1)[src[live]], dst[live]
+    ldab = 2 * kl + ku + 1
+    dst = col * ldab + kl + ku + row - col
+    border = rank[:liou.dim][rank[:liou.dim] <= ku]
+    return (kl, ku, np.append(g.reshape(-1)[src[live]], np.ones(border.size)),
+            np.append(dst[live], border * ldab + kl + ku - border))
 
 
 def assert_plan_is_the_dense_pattern_plan(liou):
-    # the plan whether or not it pays, and the one steady_state takes where it does
     kl, ku, entries, dst = dense_pattern_band(liou)
-    for band in (band_plan(liou), _band_of(liou)):
-        if band is not None:
-            assert (band.kl, band.ku) == (kl, ku)
-            assert np.array_equal(band.order, _coordinate_order(liou.layout.dims))
-            assert np.array_equal(liou.values[band.src], entries)
-            assert np.array_equal(band.dst, dst)
+    band = _band_of(liou)
+    assert (band.kl, band.ku) == (kl, ku)
+    assert np.array_equal(band.order, _coordinate_order(liou.layout.dims))
+    assert np.array_equal(np.append(liou.values, 1.0)[band.src], entries)
+    assert np.array_equal(band.dst, dst)
     return kl
 
 
 @PROPERTY_SETTINGS
-@given(params_strategy, st.integers(3, 6))
+@given(params_strategy, st.integers(1, 6))
 def test_band_plan_of_the_stored_entries_is_the_dense_pattern_plan(p, n_max):
     # the plan is keyed on the stored entries and the mask of the nonzero
     # ones; its band, gather order and gathered entries are those the dense
@@ -357,7 +366,6 @@ def test_band_plan_skips_stored_zeros_and_keeps_far_entries():
     # at eta_a = 0 the table stores the boson drive's entries as zeros; the
     # plan of the nonzero values keeps kl 94, all stored positions give 98
     liou = full_model_liouvillian(FullModelParams(n_max=5, eta_a=0.0))
-    assert _band_of(liou) is not None
     assert assert_plan_is_the_dense_pattern_plan(liou) == 94
     every = np.packbits(np.ones(liou.values.size, dtype=bool)).tobytes()
     assert _band_plan(liou.layout.dims, _Identity(liou.row_col), every).kl == 98

@@ -4,11 +4,11 @@ Usage: python3 tools/output_hashes.py [--root CHECKOUT]
 
 Runs each reference command of the "same outputs" contract from the
 sources under CHECKOUT/src (default: the checkout this script lives in),
-in a fresh temporary directory, with OPENBLAS_NUM_THREADS=1 and
-PYTHONPATH=src, and prints `name exit_code sha256` per run: the sha256 of
-the CSV for a data command, of the standard output for `validate`. Two
-checkouts give the same outputs when they print the same lines. Standard
-library only.
+in a fresh temporary directory, with OPENBLAS_NUM_THREADS=1 (2 for
+cut-21-threads2, which must hash as cut-21) and PYTHONPATH=src, and prints
+`name exit_code sha256` per run: the sha256 of the CSV for a data command,
+of the standard output for `validate`. Two checkouts give the same outputs
+when they print the same lines. Standard library only.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ CUT = ("concurrence-map", "--set", "axis1=delta0", "--set", "axis1_min=-0.05",
 # name, arguments after `python -m ddesim`; every data command writes out.csv
 RUNS = (
     ("cut-21", CUT),
+    ("cut-21-threads2", CUT),
+    ("cut-21-nmax3", (*CUT, "--set", "n_max=3")),
     ("cut-21-nmax5", (*CUT, "--set", "n_max=5")),
     ("concurrence-map", ("concurrence-map",)),
     ("steady", ("steady",)),
@@ -39,11 +41,13 @@ RUNS = (
 )
 # map workers: two keep the runs small, and a map's CSV does not depend on the count
 WORKERS = "2"
+# OPENBLAS_NUM_THREADS of the runs that do not take 1
+THREADS = {"cut-21-threads2": "2"}
 
 
 def run(root: str, name: str, args: tuple[str, ...]) -> tuple[int, str]:
     """Exit code of one command and the sha256 of its CSV, or of its stdout for validate."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=THREADS.get(name, "1"),
                PYTHONPATH=os.path.join(os.path.abspath(root), "src"))
     with tempfile.TemporaryDirectory(prefix=f"ddesim-{name}-") as work:
         argv = [sys.executable, "-m", "ddesim", *args]
