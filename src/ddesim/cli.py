@@ -6,9 +6,9 @@ steady (one steady state in full detail), concurrence-map and timescale-map
 battery). Every data command writes a CSV plus a <out>.meta.json sidecar;
 CSV bytes are reproducible for identical configuration. main first sets the
 OpenBLAS copies that the numpy and scipy wheels bundle to one thread
-(_pin_blas_threads), whatever OPENBLAS_NUM_THREADS says: a thread count
-can move the last printed digit, and map workers, which inherit it, would
-oversubscribe the cores. meta.json records what the pin found.
+(sweep.pin_blas_threads), whatever OPENBLAS_NUM_THREADS says, since a
+thread count can move the last printed digit, and leaves them there;
+meta.json records what the pin found. Map workers pin themselves too.
 
 Exit codes: 0 success, 1 configuration, usage or I/O error, 2 numerical
 failure, 3 validation failure.
@@ -17,8 +17,6 @@ failure, 3 validation failure.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import ctypes
 import dataclasses
 import json
 import os
@@ -41,7 +39,7 @@ from .models import (
 )
 from .observables import DEFAULT_N_SAMPLES, concurrence, default_tau_max, g2_trace
 from .operators import QUBIT_NUMBER, embed, partial_trace
-from .sweep import GridSpec, run_sweep
+from .sweep import GridSpec, pin_blas_threads, run_sweep
 from .validate import run_validation
 
 _MAP_DEFAULT_AXES = {
@@ -60,33 +58,6 @@ _SETTINGS_READ = {
     "concurrence-map": (*_AXIS_KEYS, "workers"),
     "timescale-map": (*_AXIS_KEYS, "workers", "pi_units"),
 }
-
-
-# the suffix of the thread setter and getter that the OpenBLAS bundled in
-# <package>.libs, beside each package's directory, exports, and their types
-_BUNDLED_BLAS = {"numpy": "64_", "scipy": ""}
-_SET_THREADS = ctypes.CFUNCTYPE(None, ctypes.c_int)
-_GET_THREADS = ctypes.CFUNCTYPE(ctypes.c_int)
-
-
-def _pin_blas_threads() -> dict:
-    """Set the bundled OpenBLAS of numpy and of scipy to one thread, where loaded.
-
-    Each library is reached with ctypes only if this process has already
-    loaded it (RTLD_NOLOAD), and set through its own exported setter.
-    Returns the thread count each reports afterwards, None for one not
-    found or without the functions, which keeps its threading, and
-    whether both read 1.
-    """
-    threads = dict.fromkeys(_BUNDLED_BLAS)
-    for package, suffix in _BUNDLED_BLAS.items():
-        libs = sys.modules[package].__path__[0] + ".libs"
-        for name in os.listdir(libs) if os.path.isdir(libs) else ():
-            with contextlib.suppress(OSError, AttributeError):
-                lib = ctypes.CDLL(os.path.join(libs, name), mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
-                _SET_THREADS((f"scipy_openblas_set_num_threads{suffix}", lib))(1)
-                threads[package] = _GET_THREADS((f"scipy_openblas_get_num_threads{suffix}", lib))()
-    return {"threads": threads, "pinned": all(n == 1 for n in threads.values())}
 
 
 def _fmt(value) -> str:
@@ -178,15 +149,9 @@ def cmd_steady(cfg: RunConfig):
             ("n_qubit1", rho_ss.expect(embed(QUBIT_NUMBER, 1, layout)).real),
             ("n_boson", rho_ss.expect(boson_number(layout)).real),
             ("purity", float(np.trace(rho_ss.matrix @ rho_ss.matrix).real))]
-    for i in range(4):
-        for j in range(4):
-            rows.append((f"rho2q_{i}_{j}_re", rho2q.matrix[i, j].real))
-            rows.append((f"rho2q_{i}_{j}_im", rho2q.matrix[i, j].imag))
-    d = layout.total_dim
-    for i in range(d):
-        for j in range(d):
-            rows.append((f"rho_ss_{i}_{j}_re", rho_ss.matrix[i, j].real))
-            rows.append((f"rho_ss_{i}_{j}_im", rho_ss.matrix[i, j].imag))
+    for name, matrix in (("rho2q", rho2q.matrix), ("rho_ss", rho_ss.matrix)):
+        for (i, j), value in np.ndenumerate(matrix):
+            rows += [(f"{name}_{i}_{j}_re", value.real), (f"{name}_{i}_{j}_im", value.imag)]
 
     comments = _provenance("steady", cfg)
     return comments, ["quantity", "value"], rows, {"concurrence": conc}
@@ -223,11 +188,6 @@ def _grid_spec(cfg: RunConfig, command: str, observables: tuple[str, ...]) -> Gr
         return GridSpec(axis1=axis1, axis2=axis2, base=cfg.params, observables=observables)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-
-def _cell_error(cell) -> str:
-    # keep the single-record-per-row CSV intact
-    return (cell.error or "").replace(",", ";").replace("\n", " ")
 
 
 def _available_cpus() -> int:
@@ -271,12 +231,13 @@ def _timing(sweep_seconds: float, cell_seconds) -> dict:
 
 
 def _map_rows(result, values) -> list[list]:
-    """One CSV row per cell: both axis values, values(cell), the error."""
-    rows = []
-    for cell in result.rows:
-        axis2_value = cell.axis_values[1] if len(cell.axis_values) > 1 else None
-        rows.append([cell.axis_values[0], axis2_value, *values(cell), _cell_error(cell)])
-    return rows
+    """One CSV row per cell: both axis values, values(cell), the error.
+
+    A 1-D map's second axis value is None, and the error's commas and
+    newlines are replaced, keeping one record per row.
+    """
+    return [[*(*cell.axis_values, None)[:2], *values(cell),
+             (cell.error or "").replace(",", ";").replace("\n", " ")] for cell in result.rows]
 
 
 def cmd_concurrence_map(cfg: RunConfig):
@@ -342,7 +303,7 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    blas = _pin_blas_threads()
+    blas = pin_blas_threads()
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse's usage-error code 2 means numerical here

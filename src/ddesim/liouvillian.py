@@ -35,9 +35,13 @@ spans most of the n = 144 matrix, that is still cheaper than the dense
 dgetrf. The row of coordinate 0, the first in that order, holds only the
 in-band part of the trace row (the populations of the lowest boson
 levels): the kernel direction is the same, and the full trace normalizes
-the solution afterwards. One step of iterative refinement with the same
-factor takes the solution to the rounding of the stored generator, which
-the LU alone misses by up to eps / rcond on ill-conditioned cells. The
+the solution afterwards. A steady state without weight there (a qubit
+pumped by sigma+ alone) leaves that matrix singular, and the border moves
+to the row of its largest population, which one step of inverse
+iteration with the singular factor finds. One step of iterative
+refinement with the same factor takes the solution to the rounding of the
+stored generator, which the LU alone misses by up to eps / rcond on
+ill-conditioned cells. The
 SteadyState it returns keeps l, its rcond and the residual of the refined
 solution.
 
@@ -63,7 +67,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 # the package first: with a scipy.linalg submodule as the first import,
@@ -593,8 +597,9 @@ def steady_state(l: Liouvillian) -> SteadyState:
 
     One real banded LU of L_H bordered by the trace condition, the sum of
     the diagonal coordinates inside the band, in place of the row of
-    coordinate 0, and one step of iterative refinement with the same
-    factor (_bordered_kernel). The solution is trace-normalized and is
+    coordinate 0 (or of the largest population, where the steady state has
+    no weight in that band), and one step of iterative refinement with the
+    same factor (_bordered_kernel). The solution is trace-normalized and is
     Hermitian by construction. The reciprocal condition number from the
     LU factor decides whether the kernel is unique, and the residual is
     that of the refined coordinates. The one eigendecomposition is the
@@ -604,9 +609,7 @@ def steady_state(l: Liouvillian) -> SteadyState:
     ------
     DegenerateSteadyStateError
         If the bordered matrix is singular or its reciprocal condition
-        number is below 1e-11: decoupled sectors, or a steady state with
-        no weight on the traced populations (a qubit pumped by sigma+
-        alone), which the in-band border cannot normalize.
+        number is below 1e-11: decoupled sectors.
     NumericalError
         If the residual is not below 1e-10 or the state has an eigenvalue
         below -1e-9.
@@ -629,6 +632,7 @@ class _Band(NamedTuple):
     kl: int
     ku: int
     order: np.ndarray
+    rank: np.ndarray
     src: np.ndarray
     dst: np.ndarray
     col: np.ndarray
@@ -668,18 +672,19 @@ class _Identity:
 
 
 @functools.lru_cache(maxsize=8)
-def _band_plan(dims: tuple[int, ...], row_col: _Identity, nonzero: bytes) -> _Band:
+def _band_plan(dims: tuple[int, ...], row_col: _Identity, nonzero: bytes,
+               border: int = 0) -> _Band:
     """The band of a generator in the coordinate order, and the plan that gathers it.
 
     row_col wraps that of an L_H on a layout of dimensions dims, and
     nonzero is np.packbits(values != 0) of its stored values. In the order
     of _coordinate_order, the nonzero entries lie within kl subdiagonals
-    and ku superdiagonals. The plan gathers the bordered band: src indexes
-    the values with a 1 appended, the nonzero entries off the row of
-    coordinate 0 and then, for the trace border, the appended 1 once per
-    diagonal coordinate in traced, those within ku of coordinate 0. dst
-    holds their positions in the Fortran-ordered band storage of dgbtrf
-    and col their columns.
+    and ku superdiagonals. The plan gathers the bordered band, whose row of
+    the diagonal coordinate border holds the trace border: src indexes the
+    values with a 1 appended, the nonzero entries off that row and then the
+    appended 1 once per diagonal coordinate in traced, those within the
+    band of that row. dst holds their positions in the Fortran-ordered band
+    storage of dgbtrf and col their columns.
     """
     order = _coordinate_order(dims)
     rank = np.argsort(order)
@@ -689,69 +694,93 @@ def _band_plan(dims: tuple[int, ...], row_col: _Identity, nonzero: bytes) -> _Ba
     kl = int(np.max(row - col, initial=0))
     ku = int(np.max(col - row, initial=0))
     ldab = 2 * kl + ku + 1
-    keep = np.flatnonzero(row)
-    traced = np.flatnonzero(rank[:math.prod(dims)] <= ku)
+    at = rank[border]
+    keep = np.flatnonzero(row != at)
+    traced = np.flatnonzero(np.isin(rank[:math.prod(dims)] - at, range(-kl, ku + 1)))
     src = np.concatenate((live[keep], np.full(traced.size, rows.size)))
-    row = np.concatenate((row[keep], np.zeros_like(traced)))
+    row = np.concatenate((row[keep], np.full_like(traced, at)))
     col = np.concatenate((col[keep], rank[traced]))
-    plan = _Band(kl, ku, order, src, col * ldab + kl + ku + row - col, _narrow(col), traced)
+    plan = _Band(kl, ku, order, rank, src, col * ldab + kl + ku + row - col, _narrow(col), traced)
     for a in plan[2:]:
         a.flags.writeable = False
     return plan
 
 
-def _band_of(l: Liouvillian) -> _Band:
-    """The band plan steady_state gathers the generator of l with.
+def _band_of(l: Liouvillian, border: int = 0) -> _Band:
+    """The band plan steady_state gathers the generator of l with, trace border in row border.
 
     Plans are cached per row_col array by identity (one per scatter
-    structure and per table) and per nonzero (or NaN) values: a stored 0,
-    as where the table's eta_a is 0, would widen the band if it counted
-    (kl 98 for 94 at n_max 5).
+    structure and per table), per nonzero (or NaN) values and per border:
+    a stored 0, as where the table's eta_a is 0, would widen the band if it
+    counted (kl 98 for 94 at n_max 5).
     """
-    return _band_plan(l.layout.dims, _Identity(l.row_col), np.packbits(l.values != 0).tobytes())
+    return _band_plan(l.layout.dims, _Identity(l.row_col),
+                      np.packbits(l.values != 0).tobytes(), border)
+
+
+def _factor(l: Liouvillian, border: int) -> tuple[_Band, Callable, float]:
+    """Band LU of L_H bordered in the row of border: plan, solve and rcond.
+
+    solve(b) is x with A x = b, both in the natural coordinate order. The
+    1-norm for the rcond estimate is summed per column from the gathered
+    entries, the border's ones included. An exactly singular factor has
+    rcond 0, and its zero pivots are raised to eps times that norm, so
+    that solve is an inverse iteration step.
+    """
+    band = _band_of(l, border)
+    kl, ku, n = band.kl, band.ku, l.dim ** 2
+    ab = np.zeros((2 * kl + ku + 1, n), order="F")
+    entries = np.append(l.values, 1.0)[band.src]
+    ab.reshape(-1, order="F")[band.dst] = entries
+    norm = float(np.max(np.bincount(band.col, np.abs(entries), minlength=n)))
+    lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=True)
+    lu[kl + ku][lu[kl + ku] == 0] = np.finfo(float).eps * norm
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        return dgbtrs(lu, kl, ku, b[band.order], piv)[0][band.rank]
+    return band, solve, float(dgbcon(kl, ku, lu, piv, norm)[0]) if info == 0 else 0.0
 
 
 def _bordered_kernel(l: Liouvillian) -> tuple[np.ndarray, float]:
     """Coordinates of the trace-one kernel vector of L_H, and the rcond of its bordered LU.
 
-    _band_of's plan gathers the stored entries into band storage in the
-    coordinate order, whose row of coordinate 0 holds the in-band part of
-    the trace row (the same kernel direction; the full trace normalizes
-    the solution), and the 1-norm for the rcond estimate is summed per
-    column from the gathered entries, the border's ones included. One step
-    of fixed-precision iterative refinement with the same factor follows:
-    the bordered residual e_0 - A x, whose L_H x is one bincount over the
-    stored entries and whose row 0 is 1 minus the traced sum, and one
-    dgbtrs for the correction. The LU alone can leave errors of about
+    The trace border takes the row of a diagonal coordinate, which the
+    other rows of L_H determine, and holds the in-band part of the trace
+    row: the same kernel direction wherever the steady state has weight on
+    those populations, and the full trace normalizes the solution. The
+    row of coordinate 0 comes first. Where that border leaves the matrix
+    singular or below RCOND_TOL, its kernel is the steady state (when that
+    is unique), so one step of inverse iteration with the same factor
+    estimates it, and the border moves to the row of its largest
+    population; if that factor fails too, the kernel is degenerate. One
+    step of fixed-precision iterative refinement with the factor follows
+    the solve: the bordered residual, whose L_H x is one bincount over the
+    stored entries and whose border entry is 1 minus the traced sum, and
+    one dgbtrs for the correction. The LU alone can leave errors of about
     eps / rcond in x; one step makes the solve backward stable entry by
     entry (Skeel, Math. Comp. 35, 817 (1980)).
 
     Raises
     ------
     DegenerateSteadyStateError
-        If the bordered matrix is singular or its reciprocal condition
-        number is below RCOND_TOL.
+        If both bordered matrices are singular or their reciprocal
+        condition numbers are below RCOND_TOL.
     """
-    band = _band_of(l)
-    n = l.dim ** 2
-    kl, ku, order = band.kl, band.ku, band.order
-    ab = np.zeros((2 * kl + ku + 1, n), order="F")
-    entries = np.append(l.values, 1.0)[band.src]
-    ab.reshape(-1, order="F")[band.dst] = entries
-    colsum = np.bincount(band.col, np.abs(entries), minlength=n)
-    lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=True)
-    rcond = dgbcon(kl, ku, lu, piv, float(np.max(colsum)))[0] if info == 0 else 0.0
+    border, n = 0, l.dim ** 2
+    band, solve, rcond = _factor(l, border)
+    if rcond < RCOND_TOL:
+        border = int(np.argmax(np.abs(solve(np.eye(1, n)[0])[:l.dim])))
+        band, solve, rcond = _factor(l, border)
     if rcond < RCOND_TOL:
         raise DegenerateSteadyStateError(
             f"Liouvillian kernel is degenerate (reciprocal condition {rcond:.3e} of "
             f"the trace-bordered generator is below {RCOND_TOL:.0e}); no unique "
             "steady state. This signals a decoupled-sector parameter choice.")
-    x = np.empty(n)
-    x[order] = dgbtrs(lu, kl, ku, np.eye(n, 1), piv)[0][:, 0]
+    x = solve(np.eye(1, n, border)[0])
     r = -np.bincount(l.row_col[0], l.values * x[l.row_col[1]], minlength=n)
-    r[0] = 1.0 - x[band.traced].sum()
-    x[order] += dgbtrs(lu, kl, ku, r[order], piv)[0]
-    return x / x[:l.dim].sum(), float(rcond)
+    r[border] = 1.0 - x[band.traced].sum()
+    x += solve(r)
+    return x / x[:l.dim].sum(), rcond
 
 
 def _residual(l: Liouvillian, c: np.ndarray) -> float:

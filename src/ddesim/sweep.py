@@ -17,14 +17,22 @@ Before the workers start, the parent builds every per-process table a cell
 reads (the affine generator table of the spec's n_max and
 relaxation_operator, which no axis can change, and the per-layout index and
 observable operators), so that forked workers inherit them instead of each
-rebuilding them on its first cell.
+rebuilding them on its first cell. Each worker sets the OpenBLAS copies
+that numpy and scipy bundle to one thread before its first cell
+(pin_blas_threads), so that n workers use n cores, not n times the
+default thread count, on any start method and whatever the caller's
+threading; the caller's process keeps its own.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import dataclasses
+import glob
 import itertools
 import multiprocessing
+import os
 import pickle
 import sys
 import time
@@ -184,6 +192,33 @@ class WorkerTraceback(Exception):
     """
 
 
+# the suffix of the thread setter and getter that the OpenBLAS bundled in
+# <package>.libs, beside each package's directory, exports, and their types
+_BUNDLED_BLAS = {"numpy": "64_", "scipy": ""}
+_SET_THREADS, _GET_THREADS = ctypes.CFUNCTYPE(None, ctypes.c_int), ctypes.CFUNCTYPE(ctypes.c_int)
+
+
+def pin_blas_threads() -> dict:
+    """Set the bundled OpenBLAS of numpy and of scipy to one thread, where loaded.
+
+    Each library is reached with ctypes only if this process has already
+    loaded it (RTLD_NOLOAD), as importing this package does, and set
+    through its own exported setter. Returns the thread count each reports
+    afterwards, None for one not found or without the functions, which
+    keeps its threading, and whether both read 1. A thread count can move
+    the last printed digit of an output, and n processes at the default
+    count oversubscribe the cores.
+    """
+    threads = dict.fromkeys(_BUNDLED_BLAS)
+    for package, suffix in _BUNDLED_BLAS.items():
+        for path in glob.glob(sys.modules[package].__path__[0] + ".libs/libscipy_openblas*"):
+            with contextlib.suppress(OSError, AttributeError):
+                lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+                _SET_THREADS((f"scipy_openblas_set_num_threads{suffix}", lib))(1)
+                threads[package] = _GET_THREADS((f"scipy_openblas_get_num_threads{suffix}", lib))()
+    return {"threads": threads, "pinned": all(n == 1 for n in threads.values())}
+
+
 def _run_share(sender, jobs) -> None:
     """Worker body: evaluate jobs in order and send their (cell, seconds) pairs as one message.
 
@@ -193,8 +228,10 @@ def _run_share(sender, jobs) -> None:
     be called with its args, say) would fail in the parent's receive and
     lose the traceback; a RuntimeError naming its class and message is sent
     in its place. _evaluate_cell is looked up at call time, so a
-    replacement of it in the parent also runs here.
+    replacement of it in the parent also runs here. The worker first pins
+    its BLAS to one thread.
     """
+    pin_blas_threads()
     try:
         message = [_evaluate_cell(job) for job in jobs]
     except BaseException as exc:

@@ -364,16 +364,20 @@ def test_workers_flag_overrides_set(tmp_path):
     assert meta["settings"]["workers"] == 1
 
 
+SET_THREADS = ctypes.CFUNCTYPE(None, ctypes.c_int)
+GET_THREADS = ctypes.CFUNCTYPE(ctypes.c_int)
+
+
 def bundled_blas():
     """The thread (setter, getter) of each OpenBLAS in numpy.libs and scipy.libs loaded here."""
     found = {}
-    for package, suffix in ddesim.cli._BUNDLED_BLAS.items():
+    for package, suffix in ddesim.sweep._BUNDLED_BLAS.items():
         libs = Path(sys.modules[package].__file__).parent.parent / f"{package}.libs"
         for path in libs.glob("libscipy_openblas*") if libs.is_dir() else ():
             lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
             found[package] = (
-                ddesim.cli._SET_THREADS((f"scipy_openblas_set_num_threads{suffix}", lib)),
-                ddesim.cli._GET_THREADS((f"scipy_openblas_get_num_threads{suffix}", lib)))
+                SET_THREADS((f"scipy_openblas_set_num_threads{suffix}", lib)),
+                GET_THREADS((f"scipy_openblas_get_num_threads{suffix}", lib)))
     return found
 
 
@@ -401,6 +405,28 @@ def test_forked_map_workers_run_one_blas_thread(monkeypatch, tmp_path):
     assert column(header, rows, "concurrence") == column(header, rows, "g2_zero") == [1.0, 1.0]
     meta = json.loads((tmp_path / "m.csv.meta.json").read_text())
     assert meta["blas"] == {"threads": {"numpy": 1, "scipy": 1}, "pinned": True}
+
+
+def test_run_sweep_workers_pin_their_blas_and_leave_the_caller_alone(monkeypatch):
+    # without main, the forked workers of run_sweep pin themselves to one
+    # thread, and the calling process keeps the two it had
+    blas = bundled_blas()
+    if len(blas) < 2:
+        pytest.skip(f"no bundled OpenBLAS of numpy and scipy: {sorted(blas)}")
+    before = [get_threads() for _, get_threads in blas.values()]
+    for set_threads, _ in blas.values():
+        set_threads(2)
+    monkeypatch.setattr(ddesim.sweep, "_observe", lambda params, observables: (
+        get_threads() for _, get_threads in blas.values()))
+    spec = ddesim.sweep.GridSpec(axis1=("delta0", -0.02, 0.02, 2))
+    try:
+        rows = ddesim.sweep.run_sweep(spec, workers=2).rows
+        caller = [get_threads() for _, get_threads in blas.values()]
+    finally:
+        for (set_threads, _), threads in zip(blas.values(), before):
+            set_threads(threads)
+    assert [(row.concurrence, row.g2_zero) for row in rows] == [(1, 1), (1, 1)]
+    assert caller == [2, 2]
 
 
 def test_help_exits_zero(capsys):

@@ -575,13 +575,53 @@ def test_band_keeps_a_jump_across_the_whole_boson_ladder():
 
 @pytest.mark.parametrize("n_max", range(1, 9))
 def test_trace_border_covers_the_boson_vacuum(n_max):
-    # the in-band border normalizes the steady state only where it carries
-    # weight on the traced populations; every population of the boson
-    # vacuum, which the lossy boson keeps populated, is among them
+    # the border in the row of coordinate 0 normalizes the steady state
+    # where it carries weight on the traced populations, so the full model
+    # never moves it: every population of the boson vacuum, which the lossy
+    # boson keeps populated, is among them
     for eta_a in (0.0, 0.3):
         liou = full_model_liouvillian(FullModelParams(n_max=n_max, eta_a=eta_a))
         vacuum = np.flatnonzero(np.arange(liou.dim) % (n_max + 1) == 0)
         assert np.isin(vacuum, liouvillian_module._band_of(liou).traced).all()
+
+
+def pumped_ladder(levels, *, down=0.0, pumps=None):
+    # a ladder pumped up by |k+1><k| (for k in pumps, default every step)
+    # at rate 1 and decaying back at rate down; the default steady state
+    # is the top level, the last coordinate in the coordinate order
+    up = np.eye(levels, k=-1, dtype=complex)
+    if pumps is not None:
+        up[np.arange(1, levels), np.arange(levels - 1)] = np.isin(np.arange(levels - 1), pumps)
+    jumps = [JumpTerm(1.0, up)] + ([JumpTerm(down, up.T)] if down else [])
+    return build_liouvillian(np.zeros((levels, levels)), jumps)
+
+
+@pytest.mark.parametrize("levels, down", [(2, 0.0), (3, 0.0), (6, 0.0), (6, 1e-4)])
+def test_trace_border_moves_to_a_steady_state_outside_its_band(levels, down):
+    # a qubit pumped by sigma+ alone (levels 2) and longer pumped ladders
+    # leave no weight, or below 1e-19, on the populations in the band of
+    # coordinate 0, so that border is singular or below RCOND_TOL; the
+    # border moves to the top level, and the state and the verdict are the
+    # dense oracle's
+    liou = pumped_ladder(levels, down=down)
+    assert liouvillian_module._factor(liou, 0)[2] < liouvillian_module.RCOND_TOL
+    oracle, oracle_rcond = bordered_oracle(liou)
+    rho = steady_state(liou)
+    assert min(rho.rcond, oracle_rcond) >= liouvillian_module.RCOND_TOL
+    assert rho.matrix[-1, -1].real == pytest.approx(1.0 - down, rel=1e-3)
+    coords = liouvillian_module._hermitian_coords(vec(rho.matrix))
+    assert np.abs(coords - oracle).max() < 1e-12
+    assert rho.residual < 1e-15
+
+
+def test_moved_trace_border_still_rejects_a_degenerate_kernel():
+    # two pumped pairs, 0 -> 1 and 2 -> 3, keep any mixture of |1> and |3>:
+    # the moved border is singular too, as is the oracle's
+    liou = pumped_ladder(4, pumps=(0, 2))
+    with pytest.raises(DegenerateSteadyStateError):
+        bordered_oracle(liou)
+    with pytest.raises(DegenerateSteadyStateError):
+        steady_state(liou)
 
 
 def test_banded_solve_takes_its_norm_from_the_gathered_entries(monkeypatch):
