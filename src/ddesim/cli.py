@@ -219,9 +219,12 @@ def _run_map(cfg: RunConfig, command: str, observables: tuple[str, ...]):
 def _timing(sweep_seconds: float, cell_seconds) -> dict:
     """The sweep's wall seconds and the distribution of its cells' seconds.
 
-    The sum of cell seconds against the wall seconds (times the workers)
-    shows the cost of starting and collecting the workers; a map without
-    cells reports zeros.
+    A cell's seconds are its own work (its generator, its LU, its g2(tau)
+    trace) plus an equal share of its batch's stacked passes (the
+    residuals and state checks, the reduced states, the concurrences and
+    g2(0)). The sum of cell seconds against the wall seconds (times the
+    workers) shows the cost of starting and collecting the workers; a map
+    without cells reports zeros.
     """
     cells = np.asarray(cell_seconds, dtype=float)
     p50, p95, top = np.percentile(cells, (50, 95, 100)) if cells.size else (0.0, 0.0, 0.0)

@@ -43,7 +43,9 @@ refinement with the same factor takes the solution to the rounding of the
 stored generator, which the LU alone misses by up to eps / rcond on
 ill-conditioned cells. The
 SteadyState it returns keeps l, its rcond and the residual of the refined
-solution.
+solution. The residuals and DensityMatrix checks of a map's batch of
+steady states run on stacked arrays (_steady_states), and steady_state
+is its stack of one.
 
 Propagation works on the coordinates and lives only here, and every path
 takes its exponential from _scaled_exponential: a truncated Taylor series
@@ -81,6 +83,7 @@ from .operators import (
     NegativeEigenvalueError,
     SpaceLayout,
     _is_integer,
+    _state_errors,
     is_hermitian,
 )
 
@@ -602,8 +605,8 @@ def steady_state(l: Liouvillian) -> SteadyState:
     same factor (_bordered_kernel). The solution is trace-normalized and is
     Hermitian by construction. The reciprocal condition number from the
     LU factor decides whether the kernel is unique, and the residual is
-    that of the refined coordinates. The one eigendecomposition is the
-    positivity check of the DensityMatrix construction.
+    that of the refined coordinates. _steady_states checks it as a stack of
+    one, with the one eigendecomposition of the DensityMatrix checks.
 
     Raises
     ------
@@ -615,15 +618,45 @@ def steady_state(l: Liouvillian) -> SteadyState:
         below -1e-9.
     """
     c, rcond = _bordered_kernel(l)
-    res = _residual(l, c)
-    if not res < RESIDUAL_TOL:
-        raise NumericalError(
-            f"steady-state residual {res:.3e} exceeds {RESIDUAL_TOL:.0e}")
-    try:
-        return SteadyState(l.layout, unvec(_hermitian_vec(c)), l, rcond, res)
-    except NegativeEigenvalueError as exc:
-        raise NumericalError(f"steady state has negative eigenvalue {exc.min_eig:.3e} "
-                             f"below -{EIG_TOL:.0e}") from None
+    state, = _steady_states([l], c[None], [rcond])
+    if isinstance(state, NumericalError):
+        raise state
+    return state
+
+
+def _steady_states(ls: list[Liouvillian], c: np.ndarray, rconds: list[float]
+                   ) -> list[SteadyState | NumericalError]:
+    """The SteadyState of each generator, or the NumericalError that rejects it.
+
+    Row k of c and rconds[k] are the coordinates and rcond that
+    _bordered_kernel gave for ls[k]. The generators share one layout, and
+    every check runs once for the stack: the residuals (_residuals), then
+    the DensityMatrix checks of the state matrices (one eigvalsh,
+    operators._state_errors), which the states keep as views. A residual
+    not below RESIDUAL_TOL and a negative eigenvalue are that state's
+    NumericalError; a state that fails the trace or Hermiticity check
+    raises its ValueError, as DensityMatrix does.
+    """
+    residuals = _residuals(ls, c)
+    d = ls[0].dim
+    # column k of W c is vec(rho_k), column-stacked: entry (i, j, k) of its
+    # (d, d, k) view is rho_k[j, i]
+    matrices = np.ascontiguousarray(_hermitian_vec(c.T).reshape(d, d, -1).transpose(2, 1, 0))
+    matrices.flags.writeable = False
+    states = []
+    for l, rcond, res, m, error in zip(ls, rconds, residuals, matrices, _state_errors(matrices)):
+        if not res < RESIDUAL_TOL:
+            states.append(NumericalError(
+                f"steady-state residual {res:.3e} exceeds {RESIDUAL_TOL:.0e}"))
+        elif isinstance(error, NegativeEigenvalueError):
+            states.append(NumericalError(f"steady state has negative eigenvalue "
+                                         f"{error.min_eig:.3e} below -{EIG_TOL:.0e}"))
+        elif error is not None:
+            raise error
+        else:
+            states.append(SteadyState._checked(l.layout, m, liouvillian=l, rcond=rcond,
+                                               residual=float(res)))
+    return states
 
 
 class _Band(NamedTuple):
@@ -783,22 +816,34 @@ def _bordered_kernel(l: Liouvillian) -> tuple[np.ndarray, float]:
     return x / x[:l.dim].sum(), rcond
 
 
-def _residual(l: Liouvillian, c: np.ndarray) -> float:
-    """Max-entry norm of the complex matrix L(rho) for the coordinates c of rho.
+def _residuals(ls: list[Liouvillian], c: np.ndarray) -> np.ndarray:
+    """Max-entry norm of the complex matrix L_k(rho_k) for each generator of ls and the row c[k].
 
-    r = L_H c is one bincount over the rows of the stored entries. A
-    diagonal entry of L(rho) is r_i, and both entries of the pair (i, j),
-    i < j, are sqrt(1/2) (r_sym +- i r_anti), so one modulus per pair gives,
-    bit for bit, what _hermitian_vec would. A NaN in a stored entry, or in
-    an entry of c that one multiplies, makes the result NaN.
+    c holds the coordinates of each rho as a row. r = L_H c is one bincount
+    over the rows of the stored entries per generator: one bincount over
+    the whole stack, each generator's rows offset, allocates three
+    temporaries of k times the entries and ran slower from 16 generators
+    at n_max 2. A diagonal entry of L(rho) is r_i, and both entries of the
+    pair (i, j), i < j, are sqrt(1/2) (r_sym +- i r_anti), so one modulus
+    per pair gives, bit for bit, what _hermitian_vec would (np.hypot of the
+    parts differs in the last bit). A NaN in a stored entry, or in an
+    entry of c that one multiplies, makes that norm NaN.
     """
-    row, col = l.row_col
-    r = np.bincount(row, l.values * c[col], minlength=l.dim ** 2)
-    d = l.dim
-    pairs = np.empty((r.size - d) // 2, dtype=complex)
-    pairs.real = _SQRT_HALF * r[d:d + pairs.size]
-    pairs.imag = _SQRT_HALF * r[d + pairs.size:]
-    return float(np.max(np.abs(pairs), initial=np.max(np.abs(r[:d]))))
+    k, n = c.shape
+    r = np.empty((k, n))
+    for rk, l, ck in zip(r, ls, c):
+        row, col = l.row_col
+        rk[:] = np.bincount(row, l.values * ck[col], minlength=n)
+    d = ls[0].dim
+    pairs = np.empty((k, (n - d) // 2), dtype=complex)
+    pairs.real = _SQRT_HALF * r[:, d:d + pairs.shape[1]]
+    pairs.imag = _SQRT_HALF * r[:, d + pairs.shape[1]:]
+    return np.maximum(np.abs(pairs).max(axis=1, initial=0.0), np.abs(r[:, :d]).max(axis=1))
+
+
+def _residual(l: Liouvillian, c: np.ndarray) -> float:
+    """_residuals of l alone, at the coordinates c."""
+    return float(_residuals([l], c[None])[0])
 
 
 def steady_state_residual(l: Liouvillian, rho: DensityMatrix) -> float:

@@ -22,7 +22,8 @@ import numpy as np
 from .liouvillian import (Liouvillian, NumericalError, SteadyState, correlation_samples,
                           steady_state_residual)
 from .models import _rabi_frequency, adiabatic_eliminate
-from .operators import SIGMA_MINUS, DensityMatrix, _is_integer, embed
+from .operators import (SIGMA_MINUS, DensityMatrix, _is_integer, _partial_traces,
+                        _state_errors, embed)
 
 DARK_TOL = 1e-14
 # smallest weight <n_i> of a bright emitter whose post-jump statistics are
@@ -69,8 +70,12 @@ def concurrence(rho2q: DensityMatrix) -> ConcurrenceResult:
     """
     if rho2q.layout.dims != (2, 2):
         raise ValueError(f"concurrence needs a [2, 2] state, got layout {rho2q.layout.dims}")
-    rho = rho2q.matrix
+    values, lam = _concurrences(rho2q.matrix[None])
+    return ConcurrenceResult(value=float(values[0]), lambdas=tuple(float(x) for x in lam[0]))
 
+
+def _concurrences(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Concurrence and the four sorted spectral values of each matrix of the (k, 4, 4) stack rho."""
     # The lambdas are sqrt(eig(rho @ rho_tilde)) with
     # rho_tilde = (sy x sy) rho* (sy x sy). Computing eig of that
     # non-Hermitian product loses ~sqrt(eps) on the near-zero eigenvalues of
@@ -78,12 +83,23 @@ def concurrence(rho2q: DensityMatrix) -> ConcurrenceResult:
     # singular values equal those square roots exactly (rho rho_tilde is
     # similar to B B-dagger) and come out at machine precision.
     w, u = np.linalg.eigh(rho)
-    sqrt_rho = (u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T
+    sqrt_rho = (u * np.sqrt(np.clip(w, 0.0, None))[:, None]) @ u.conj().swapaxes(1, 2)
     b = sqrt_rho @ _SY_SY @ sqrt_rho.conj()
-    sv = np.linalg.svd(b, compute_uv=False)
-    lam = np.sort(sv)[::-1]
-    value = float(min(1.0, max(0.0, lam[0] - lam[1] - lam[2] - lam[3])))
-    return ConcurrenceResult(value=value, lambdas=tuple(float(x) for x in lam))
+    lam = np.sort(np.linalg.svd(b, compute_uv=False), axis=1)[:, ::-1]
+    return np.clip(lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3], 0.0, 1.0), lam
+
+
+def _pair_concurrences(states: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """concurrence(partial_trace(rho, (0, 1))).value of each state matrix of the (k, d, d) stack.
+
+    The reduced states get the DensityMatrix checks as one stack, and the
+    first that fails raises its ValueError.
+    """
+    reduced = _partial_traces(states, dims, [0, 1])
+    for error in _state_errors(reduced):
+        if error is not None:
+            raise error
+    return _concurrences(reduced)[0]
 
 
 @functools.lru_cache(maxsize=8)
@@ -149,23 +165,44 @@ class CorrelationTrace:
 def _emission_setup(l: Liouvillian, rho_ss: DensityMatrix):
     """Bright/dark split, bright weights w_i = <n_i>, asymptote |bright| <N>
     and raw zero-delay value, the sum of <n_0 n_1> / w_i over bright i, from
-    vdots with the Hermitian operators of the emission table. w_i below
-    DARK_TOL is dark; a bright w_i below WEIGHT_FLOOR (or a SteadyState's
-    eps / rcond) raises FaintEmitterError, two dark ones DarkEmitterError.
+    vdots with the Hermitian operators of the emission table
+    (_emission_split). A state that is not l's SteadyState is checked
+    against l first.
     """
-    solved = isinstance(rho_ss, SteadyState)
-    if not (solved and rho_ss.liouvillian is l):
+    if not (isinstance(rho_ss, SteadyState) and rho_ss.liouvillian is l):
         residual = steady_state_residual(l, rho_ss)
         if not residual <= 1e-8:
             raise ValueError(f"rho_ss is not a steady state of l (residual {residual:.3e})")
-    floor = max(WEIGHT_FLOOR, np.finfo(float).eps / rho_ss.rcond) if solved else WEIGHT_FLOOR
+    return _emission_split(_emission_means(rho_ss.layout, rho_ss.matrix[None])[0],
+                           _weight_floor(rho_ss))
 
-    _, numbers, coincidence, number_sum = _emission_operators(rho_ss.layout)
-    rho = rho_ss.matrix
-    joint = float(np.vdot(coincidence, rho).real)
+
+def _weight_floor(rho_ss: DensityMatrix) -> float:
+    """Smallest resolved bright weight: WEIGHT_FLOOR, or a SteadyState's larger eps / rcond."""
+    if isinstance(rho_ss, SteadyState):
+        return max(WEIGHT_FLOOR, np.finfo(float).eps / rho_ss.rcond)
+    return WEIGHT_FLOOR
+
+
+def _emission_means(layout, states: np.ndarray) -> list[list[float]]:
+    """<n_0 n_1>, <n_0>, <n_1> and <N> of each state matrix of the (k, d, d) stack.
+
+    Each is one np.vdot with the operator of the emission table.
+    """
+    _, numbers, coincidence, number_sum = _emission_operators(layout)
+    operators = (coincidence, *numbers, number_sum)
+    return [[float(np.vdot(op, rho).real) for op in operators] for rho in states]
+
+
+def _emission_split(means: list[float], floor: float):
+    """_emission_setup's tuple from one state's _emission_means and its resolved floor.
+
+    w_i below DARK_TOL is dark; a bright w_i below floor raises
+    FaintEmitterError, two dark ones DarkEmitterError.
+    """
+    joint, *single, total = means
     bright, dark, weights, raw_zero = [], [], [], 0
-    for i, number in enumerate(numbers):
-        weight = float(np.vdot(number, rho).real)
+    for i, weight in enumerate(single):
         if weight < DARK_TOL:
             dark.append(i)
             continue
@@ -177,8 +214,7 @@ def _emission_setup(l: Liouvillian, rho_ss: DensityMatrix):
         raw_zero += joint / weight
     if not bright:
         raise DarkEmitterError("both emitters dark: no emission statistics exist")
-    asymptote = len(bright) * float(np.vdot(number_sum, rho).real)
-    return tuple(bright), tuple(dark), tuple(weights), asymptote, raw_zero
+    return tuple(bright), tuple(dark), tuple(weights), len(bright) * total, raw_zero
 
 
 def g2_zero(l: Liouvillian, rho_ss: DensityMatrix) -> float:
@@ -192,6 +228,19 @@ def g2_zero(l: Liouvillian, rho_ss: DensityMatrix) -> float:
     """
     _, _, _, asymptote, raw_zero = _emission_setup(l, rho_ss)
     return raw_zero / asymptote
+
+
+def _g2_zeros(states: list[SteadyState], matrices: np.ndarray) -> list[float | NumericalError]:
+    """g2_zero of each solved state, or its NumericalError; matrices stacks their matrices."""
+    out = []
+    for state, means in zip(states, _emission_means(states[0].layout, matrices)):
+        try:
+            _, _, _, asymptote, raw_zero = _emission_split(means, _weight_floor(state))
+        except NumericalError as exc:
+            out.append(exc)
+        else:
+            out.append(raw_zero / asymptote)
+    return out
 
 
 def g2_trace(l: Liouvillian, rho_ss: DensityMatrix, tau_max: float,

@@ -92,13 +92,45 @@ class NegativeEigenvalueError(ValueError):
         self.min_eig = min_eig
 
 
+def _state_errors(m: np.ndarray) -> list[ValueError | None]:
+    """The ValueError DensityMatrix raises for each matrix of the (k, d, d) stack m, or None.
+
+    The checks, in order: the trace within TRACE_TOL of 1, every entry of
+    m - m+ within HERM_TOL of 0, and the smallest eigenvalue of the
+    Hermitian part at least -EIG_TOL (NegativeEigenvalueError). Each is
+    written so that NaN fails it, which leaves only finite matrices for the
+    one eigvalsh.
+    """
+    trace = m.trace(axis1=1, axis2=2)
+    mh = m.conj().swapaxes(1, 2)
+    drift = np.abs(trace - 1.0)
+    asymmetry = np.abs(m - mh).max(axis=(1, 2))
+    hermitian = 0.5 * (m + mh)
+    even = (drift <= TRACE_TOL) & (asymmetry <= HERM_TOL)
+    if not even.all():  # a matrix that fails the first two checks is not diagonalized
+        hermitian[~even] = 0.0
+    min_eig = np.linalg.eigvalsh(hermitian)[:, 0]
+    errors = []
+    for tr, off, asym, low in zip(trace, drift, asymmetry, min_eig):
+        if not off <= TRACE_TOL:
+            errors.append(ValueError(f"trace {tr} deviates from 1 by more than {TRACE_TOL}"))
+        elif not asym <= HERM_TOL:
+            errors.append(ValueError("matrix is not Hermitian within 1e-10"))
+        elif not low >= -EIG_TOL:
+            errors.append(NegativeEigenvalueError(float(low)))
+        else:
+            errors.append(None)
+    return errors
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Trace-one Hermitian positive operator on a labeled composite space.
 
     Construction validates trace (1e-10), Hermiticity (1e-10) and numerical
-    positivity (min eigenvalue >= -1e-9, else NegativeEigenvalueError).
-    States compare and hash by identity, not by their matrix.
+    positivity (min eigenvalue >= -1e-9, else NegativeEigenvalueError), as
+    _state_errors does for a stack; a NaN fails them. States compare and
+    hash by identity, not by their matrix.
     """
 
     layout: SpaceLayout
@@ -109,18 +141,20 @@ class DensityMatrix:
         d = self.layout.total_dim
         if m.shape != (d, d):
             raise ValueError(f"matrix shape {m.shape} does not match layout dimension {d}")
-        tr = np.trace(m)
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace {tr} deviates from 1 by more than {TRACE_TOL}")
-        mh = m.conj().T
-        if np.max(np.abs(m - mh)) > HERM_TOL:
-            raise ValueError("matrix is not Hermitian within 1e-10")
-        min_eig = float(np.linalg.eigvalsh(0.5 * (m + mh))[0])
-        if min_eig < -EIG_TOL:
-            raise NegativeEigenvalueError(min_eig)
+        error = _state_errors(m[None])[0]
+        if error is not None:
+            raise error
         m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+
+    @classmethod
+    def _checked(cls, layout: SpaceLayout, matrix: np.ndarray, **fields):
+        """An instance over a read-only matrix that _state_errors has passed, not checked again."""
+        state = object.__new__(cls)
+        for name, value in (("layout", layout), ("matrix", matrix), *fields.items()):
+            object.__setattr__(state, name, value)
+        return state
 
     @classmethod
     def pure(cls, layout: SpaceLayout, ket: np.ndarray) -> "DensityMatrix":
@@ -188,11 +222,24 @@ def partial_trace(rho: DensityMatrix, keep: tuple[int, ...] | list[int] | set[in
     if keep_list[0] < 0 or keep_list[-1] >= n:
         raise ValueError(f"keep indices {keep_list} out of range for {n} subsystems")
     dims = rho.layout.dims
-    # axis k is subsystem k's row index and axis n + k its column index; a
-    # traced subsystem's column repeats its row axis, so einsum contracts it
-    cols = [n + k if k in keep_list else k for k in range(n)]
-    reduced = np.einsum(rho.matrix.reshape(dims + dims), [*range(n), *cols],
-                        keep_list + [n + k for k in keep_list])
     kept_dims = tuple(dims[k] for k in keep_list)
-    d_red = math.prod(kept_dims)
-    return DensityMatrix(SpaceLayout(kept_dims), hermitize(reduced.reshape(d_red, d_red)))
+    reduced = _partial_traces(rho.matrix[None], dims, keep_list)[0]
+    return DensityMatrix(SpaceLayout(kept_dims), reduced)
+
+
+def _partial_traces(m: np.ndarray, dims: tuple[int, ...], keep: list[int]) -> np.ndarray:
+    """Hermitian parts of the reduced matrices of the stack m on the sorted subsystems keep.
+
+    Unchecked: partial_trace makes a DensityMatrix of its one, and
+    observables._pair_concurrences checks its stack with _state_errors.
+    """
+    n = len(dims)
+    # axis k + 1 is subsystem k's row index and axis n + k + 1 its column
+    # index, after the stack's axis; a traced subsystem's column repeats its
+    # row axis, so einsum contracts it
+    cols = [n + k if k in keep else k for k in range(n)]
+    reduced = np.einsum(m.reshape((-1, *dims, *dims)), [2 * n, *range(n), *cols],
+                        [2 * n, *keep, *(n + k for k in keep)])
+    d_red = math.prod(dims[k] for k in keep)
+    reduced = reduced.reshape(-1, d_red, d_red)
+    return 0.5 * (reduced + reduced.conj().swapaxes(1, 2))

@@ -3,15 +3,20 @@
 Each grid cell evaluates its generator from the parameter-affine table of
 its (n_max, relaxation_operator), built once per process
 (full_model_liouvillian), solves for its steady state, and evaluates the
-requested observables on the SteadyState without checking it again. That
-chain, _observe, also serves validate and truncation_check, which runs one
-cell's concurrence and g2(0) at its boson truncation and the next. Cells
-where the solve or the correlation analysis raises a NumericalError are
-flagged with the error message and excluded from summary statistics, never
-given fabricated values; any other exception propagates. A parallel sweep
-forks one process per worker, at most one per cell, and gives worker w of n
-the strided share cells[w::n]; each worker evaluates its cells one by one
-and sends all its (cell, seconds) pairs back as one message, and the parent
+requested observables on the SteadyState without checking it again. Cells
+are evaluated in batches (_observe): each cell's generator and LU run one
+by one, and the residuals and state checks, the reduced states, their
+concurrences and g2(0) run once per batch on stacked arrays, through the
+same code as steady_state, partial_trace, concurrence and g2_zero, which
+are batches of one. That chain also serves validate and truncation_check,
+which runs one cell's concurrence and g2(0) at its boson truncation and
+the next. Cells where the solve or the correlation analysis raises a
+NumericalError are flagged with the error message and excluded from
+summary statistics, never given fabricated values; any other exception
+propagates. A parallel sweep forks one process per worker, at most one per
+cell, and gives worker w of n the strided share cells[w::n]; each worker
+evaluates its share in batches and sends all its (cell, seconds) pairs
+back as one message, and the parent
 puts them back in grid order, so output is identical for any worker count.
 Before the workers start, the parent builds every per-process table a cell
 reads (the affine generator table of the spec's n_max and
@@ -41,22 +46,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liouvillian import NumericalError, _band_of, steady_state
+from .liouvillian import NumericalError, _band_of, _bordered_kernel, _steady_states
 from .models import _FLOAT_FIELDS, FullModelParams, full_model_liouvillian
 from .observables import (
     DEFAULT_N_SAMPLES,
     _emission_operators,
-    concurrence,
+    _g2_zeros,
+    _pair_concurrences,
     default_tau_max,
     extract_timescale,
     g2_trace,
-    g2_zero,
 )
-from .operators import _is_integer, partial_trace, qubit_pair_boson_layout
+from .operators import _is_integer, qubit_pair_boson_layout
 
 OBSERVABLE_NAMES = ("concurrence", "g2_zero", "timescale")
 
 MIN_VALID_CELLS = 9
+# cells observed together (_evaluate_cells). At n_max 2 a cell took 0.27 to
+# 0.29 ms in batches of 32, 0.29 to 0.30 in 16, 0.72 alone, and no less in
+# 64; a batch holds each cell's generator and state, about 20 kB at n_max 2
+# and 80 kB at n_max 5, so a serial map does not hold every cell at once
+_BATCH_CELLS = 32
 
 
 @dataclass(frozen=True)
@@ -143,30 +153,89 @@ class SweepResult:
         return [r for r in self.rows if r.ok]
 
 
-def _observe(params: FullModelParams, observables):
-    """Yield C and g2(0) of params' steady state (None unless requested), then any FFT period.
+def _observe(params: list[FullModelParams], observables) -> tuple[list, list, np.ndarray]:
+    """Values, NumericalError (or None) and seconds of each cell of a batch, in order.
 
-    A NumericalError propagates after the values yielded before it.
+    The params share n_max and relaxation_operator, so their generators share
+    one table. A cell's values are [C, g2(0), FFT period], None where not
+    requested or not reached: a NumericalError flags only its own cell,
+    which keeps the values computed before it. Per cell run the generator,
+    its LU (_bordered_kernel) and the timescale's g2_trace; once for the
+    batch run the residuals and state checks (_steady_states), the reduced
+    states and their concurrences, and g2(0). A cell's seconds are its own
+    work plus an equal share of the batch's.
     """
-    rho = steady_state(full_model_liouvillian(params))
-    yield concurrence(partial_trace(rho, (0, 1))).value if "concurrence" in observables else None
-    yield g2_zero(rho.liouvillian, rho) if "g2_zero" in observables else None
+    n = len(params)
+    values, errors, seconds = [[None] * 3 for _ in params], [None] * n, np.zeros(n)
+    ls, kernels = [], {}
+    for k, p in enumerate(params):
+        start = time.perf_counter()
+        ls.append(full_model_liouvillian(p))
+        try:
+            kernels[k] = _bordered_kernel(ls[k])
+        except NumericalError as exc:  # flagged, never fabricated
+            errors[k] = exc
+        seconds[k] += time.perf_counter() - start
+
+    start = time.perf_counter()
+    states = {}
+    if kernels:
+        c, rconds = zip(*kernels.values())
+        for k, state in zip(kernels, _steady_states([ls[k] for k in kernels], np.stack(c),
+                                                    rconds)):
+            if isinstance(state, NumericalError):
+                errors[k] = state
+            else:
+                states[k] = state
+    if states:
+        matrices = np.stack([state.matrix for state in states.values()])
+        if "concurrence" in observables:
+            for k, value in zip(states, _pair_concurrences(matrices, ls[0].layout.dims)):
+                values[k][0] = float(value)
+        if "g2_zero" in observables:
+            for k, value in zip(states, _g2_zeros(list(states.values()), matrices)):
+                if isinstance(value, NumericalError):
+                    errors[k] = value
+                else:
+                    values[k][1] = value
+    seconds += (time.perf_counter() - start) / n
+
     if "timescale" in observables:
-        trace = g2_trace(rho.liouvillian, rho, default_tau_max(params), DEFAULT_N_SAMPLES)
-        yield extract_timescale(trace, params.gamma_a_abs).period_native
+        for k, state in states.items():
+            if errors[k] is None:
+                start = time.perf_counter()
+                try:
+                    trace = g2_trace(ls[k], state, default_tau_max(params[k]), DEFAULT_N_SAMPLES)
+                    values[k][2] = extract_timescale(trace, params[k].gamma_a_abs).period_native
+                except NumericalError as exc:
+                    errors[k] = exc
+                seconds[k] += time.perf_counter() - start
+    return values, errors, seconds
+
+
+def _evaluate_cells(jobs: list) -> list[tuple[CellResult, float]]:
+    """The (cell, seconds) of each job of one spec, in order, observed _BATCH_CELLS at a time."""
+    out = []
+    for first in range(0, len(jobs), _BATCH_CELLS):
+        batch = jobs[first:first + _BATCH_CELLS]
+        values, errors, seconds = _observe([p for p, _, _ in batch], batch[0][1])
+        out += [(CellResult(axis_values, *v, error=e and f"{type(e).__name__}: {e}"), float(s))
+                for (_, _, axis_values), v, e, s in zip(batch, values, errors, seconds)]
+    return out
+
+
+def _observe_or_raise(params: list[FullModelParams], observables) -> list[list]:
+    """The values of _observe, raising the first NumericalError of a cell instead."""
+    values, errors, _ = _observe(params, observables)
+    for error in errors:
+        if error is not None:
+            raise error
+    return values
 
 
 def _evaluate_cell(args: tuple[FullModelParams, tuple[str, ...], tuple[float, ...]]):
-    params, observables, axis_values = args
-    t0 = time.perf_counter()
-    values, error = [], None
-    try:
-        for value in _observe(params, observables):  # a failed cell keeps what came before
-            values.append(value)
-    except NumericalError as exc:  # flagged, never fabricated
-        error = f"{type(exc).__name__}: {exc}"
-    cell = CellResult(axis_values, *values, error=error)
-    return cell, time.perf_counter() - t0
+    """The (cell, seconds) of one job: a batch of one."""
+    return _evaluate_cells([args])[0]
 
 
 def _build_cell_tables(base: FullModelParams) -> None:
@@ -227,13 +296,13 @@ def _run_share(sender, jobs) -> None:
     does not survive a pickle round trip (a class whose constructor cannot
     be called with its args, say) would fail in the parent's receive and
     lose the traceback; a RuntimeError naming its class and message is sent
-    in its place. _evaluate_cell is looked up at call time, so a
+    in its place. _evaluate_cells is looked up at call time, so a
     replacement of it in the parent also runs here. The worker first pins
     its BLAS to one thread.
     """
     pin_blas_threads()
     try:
-        message = [_evaluate_cell(job) for job in jobs]
+        message = _evaluate_cells(jobs)
     except BaseException as exc:
         message = exc, traceback.format_exc()
         try:
@@ -306,7 +375,7 @@ def run_sweep(spec: GridSpec, workers: int = 1) -> SweepResult:
             for p in spec.cells()]
 
     if workers == 1:
-        outcomes = [_evaluate_cell(j) for j in jobs]
+        outcomes = _evaluate_cells(jobs)
     else:
         _build_cell_tables(spec.base)
         outcomes = _fan_out(jobs, workers)
@@ -339,6 +408,7 @@ def truncation_check(params: FullModelParams) -> float:
     absolute change. A decoupled boson (g0 = g1 = 0 with no boson drive)
     gives a change at roundoff level.
     """
-    lo, hi = (tuple(_observe(dataclasses.replace(params, n_max=nm), ("concurrence", "g2_zero")))
+    lo, hi = (_observe_or_raise([dataclasses.replace(params, n_max=nm)],
+                                ("concurrence", "g2_zero"))[0][:2]
               for nm in (params.n_max, params.n_max + 1))
     return max(abs(b - a) for a, b in zip(lo, hi))

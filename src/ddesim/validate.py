@@ -58,7 +58,7 @@ from .operators import (
     partial_trace,
     qubit_pair_boson_layout,
 )
-from .sweep import _observe
+from .sweep import _observe_or_raise
 
 SEED = 20240817
 
@@ -274,7 +274,7 @@ def _check_exchange_symmetry(rng):
     # unequal couplings, so the swap changes the model; the concurrence
     # (0.862) and g2(0) are both far from 0 here
     p = FullModelParams(g1=0.048)
-    values = [tuple(_observe(q, ("concurrence", "g2_zero"))) for q in (p, p.swapped_qubits())]
+    values = _observe_or_raise([p, p.swapped_qubits()], ("concurrence", "g2_zero"))
     for name, before, after in zip(("concurrence", "g2(0)"), *values):
         err = abs(before - after)
         assert err < 1e-8, f"{name} changes by {err:.3e} under qubit exchange"

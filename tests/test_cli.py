@@ -392,7 +392,8 @@ def test_forked_map_workers_run_one_blas_thread(monkeypatch, tmp_path):
     for set_threads, _ in blas.values():
         set_threads(2)
     monkeypatch.setattr(ddesim.sweep, "_observe", lambda params, observables: (
-        get_threads() for _, get_threads in blas.values()))
+        [[get_threads() for _, get_threads in blas.values()] for _ in params],
+        [None] * len(params), np.zeros(len(params))))
     out = tmp_path / "m.csv"
     try:
         assert main(["concurrence-map", "--out", str(out), "--workers", "2",
@@ -417,7 +418,8 @@ def test_run_sweep_workers_pin_their_blas_and_leave_the_caller_alone(monkeypatch
     for set_threads, _ in blas.values():
         set_threads(2)
     monkeypatch.setattr(ddesim.sweep, "_observe", lambda params, observables: (
-        get_threads() for _, get_threads in blas.values()))
+        [[get_threads() for _, get_threads in blas.values()] for _ in params],
+        [None] * len(params), np.zeros(len(params))))
     spec = ddesim.sweep.GridSpec(axis1=("delta0", -0.02, 0.02, 2))
     try:
         rows = ddesim.sweep.run_sweep(spec, workers=2).rows

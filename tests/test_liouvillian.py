@@ -696,7 +696,7 @@ def test_steady_state_makes_one_eigendecomposition(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
     steady_state(liou)
-    assert calls == [(liou.dim, liou.dim)]
+    assert calls == [(1, liou.dim, liou.dim)]  # a stack of one state
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvalsh(a, shift=1e-6))
     with pytest.raises(NumericalError, match="negative eigenvalue -1.0"):
         steady_state(liou)

@@ -13,7 +13,7 @@ from ddesim import (
     embed,
     partial_trace,
 )
-from ddesim.operators import QUBIT_NUMBER
+from ddesim.operators import QUBIT_NUMBER, _state_errors
 
 
 def random_density(rng, dim):
@@ -106,6 +106,20 @@ def test_density_matrix_validation():
         DensityMatrix(layout, np.array([[0.5, 0.5], [-0.5, 0.5]]))  # not hermitian
     with pytest.raises(ValueError):
         DensityMatrix(layout, np.diag([1.5, -0.5]))  # negative eigenvalue
+
+
+def test_density_matrix_rejects_nan():
+    # a comparison with NaN is false, so each check must fail it, not pass it
+    layout = SpaceLayout((2,))
+    all_nan = np.full((2, 2), np.nan)
+    nan_coherence = np.array([[0.5, np.nan], [np.nan, 0.5]])
+    with pytest.raises(ValueError, match="trace"):
+        DensityMatrix(layout, all_nan)
+    with pytest.raises(ValueError, match="Hermitian"):
+        DensityMatrix(layout, nan_coherence)
+    # the stacked checks flag each NaN matrix and pass the state between them
+    errors = _state_errors(np.stack([all_nan, np.eye(2) / 2, nan_coherence]).astype(complex))
+    assert [type(e) for e in errors] == [ValueError, type(None), ValueError]
 
 
 def test_density_matrix_pure_and_expect():

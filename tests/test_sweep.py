@@ -19,8 +19,11 @@ from ddesim import (
     SweepResult,
     build_full_model,
     build_liouvillian,
+    concurrence,
     correlation_stats,
     full_model_liouvillian,
+    g2_zero,
+    partial_trace,
     run_sweep,
     steady_state,
 )
@@ -30,7 +33,7 @@ import ddesim.liouvillian
 import ddesim.models
 import ddesim.observables
 import ddesim.sweep
-from ddesim.liouvillian import Liouvillian
+from ddesim.liouvillian import Liouvillian, _band_of, _bordered_kernel, _steady_states
 from ddesim.sweep import CellResult, _evaluate_cell
 
 # where workers are forked they inherit the test's monkeypatches
@@ -111,21 +114,22 @@ def test_failed_cells_are_flagged_not_fabricated():
 def test_only_numerical_failures_become_error_cells(monkeypatch):
     spec = GridSpec(axis1=("delta0", -0.01, 0.01, 2), observables=("concurrence",))
 
+    # each cell's LU is the first step of its steady state
     def failing_with(exc):
-        def steady_state(liou):
+        def bordered_kernel(liou):
             raise exc
-        return steady_state
+        return bordered_kernel
 
-    monkeypatch.setattr("ddesim.sweep.steady_state", failing_with(NumericalError("drift")))
+    monkeypatch.setattr("ddesim.sweep._bordered_kernel", failing_with(NumericalError("drift")))
     for workers in (1, 2) if FORKED else (1,):
         rows = run_sweep(spec, workers=workers).rows
         assert [r.error for r in rows] == ["NumericalError: drift"] * 2
-    monkeypatch.setattr("ddesim.sweep.steady_state",
+    monkeypatch.setattr("ddesim.sweep._bordered_kernel",
                         failing_with(DarkEmitterError("both emitters dark")))
     rows = run_sweep(spec).rows
     assert [r.error for r in rows] == ["DarkEmitterError: both emitters dark"] * 2
     for bug in (TypeError("bug"), ValueError("bug")):
-        monkeypatch.setattr("ddesim.sweep.steady_state", failing_with(bug))
+        monkeypatch.setattr("ddesim.sweep._bordered_kernel", failing_with(bug))
         for workers in (1, 2) if FORKED else (1,):
             with pytest.raises(type(bug), match="bug"):
                 run_sweep(spec, workers=workers)
@@ -219,6 +223,99 @@ def test_sweep_rows_independent_of_worker_count():
             assert len(parallel.cell_seconds) == points ** 2
 
 
+def single_cell_row(p):
+    """(C, g2(0), error) of one cell by the public single-cell chain."""
+    values, error = [], None
+    try:
+        rho = steady_state(full_model_liouvillian(p))
+        values.append(concurrence(partial_trace(rho, (0, 1))).value)
+        values.append(g2_zero(rho.liouvillian, rho))
+    except NumericalError as exc:
+        error = f"{type(exc).__name__}: {exc}"
+    return (*values, None, None)[:2] + (error,)
+
+
+def test_batch_rows_are_bitwise_the_single_cell_chain_across_band_plans():
+    # delta0 = 0 and eta1 = 0 each change the generator's nonzero pattern,
+    # so one batch of the nine cells holds four band plans
+    spec = GridSpec(axis1=("delta0", -0.02, 0.02, 3), axis2=("eta1", 0.0, 0.1, 3),
+                    observables=("concurrence", "g2_zero"))
+    cells = spec.cells()
+    assert len({id(_band_of(full_model_liouvillian(p))) for p in cells}) == 4
+    rows = run_sweep(spec).rows
+    assert all(row.ok for row in rows)
+    assert [(r.concurrence, r.g2_zero, r.error) for r in rows] == [
+        single_cell_row(p) for p in cells]
+
+
+# the six eta1 = 0 cells of a qubit 1 without decay or coupling have no
+# unique steady state; a drive of 1e-6 leaves the faint emitter of
+# test_faint_emitter_under_the_resolved_floor_is_flagged below its floor
+FLAGGED_GRIDS = {
+    "degenerate": (GridSpec(axis1=("eta0", 0.0, 0.1, 3), axis2=("eta1", 0.0, 0.1, 3),
+                            base=FullModelParams(g1=0.0, gamma_r1=0.0),
+                            observables=("concurrence", "g2_zero")),
+                   ["DegenerateSteadyStateError"] + [None] * 2),
+    "faint": (GridSpec(axis1=("eta1", 0.0, 1e-6, 2), base=FullModelParams(
+        delta0=-0.0918, delta1=0.00725, delta_a=0.2596, g0=0.0966, g1=0.0, eta0=0.0186,
+        eta_a=0.2828, gamma_r0=6.68e-9, gamma_r1=3.15e-9, gamma_d1=2.34e-9, n_max=3),
+        observables=("concurrence", "g2_zero")), [None, "FaintEmitterError"]),
+}
+
+
+@pytest.mark.parametrize("name", FLAGGED_GRIDS)
+def test_a_failing_cell_flags_only_itself_in_any_share(name):
+    # each cell's row is the single-cell chain's: the failing cell has its
+    # class and message and keeps its concurrence, and its neighbours,
+    # evaluated in the same batch, their bits; at 1, 2 and 3 workers
+    spec, flags = FLAGGED_GRIDS[name]
+    cells = spec.cells()
+    want = [single_cell_row(p) for p in cells]
+    errors = [None if e is None else e.split(":")[0] for _, _, e in want]
+    assert errors == flags * (len(cells) // len(flags))
+    for workers in (1, 2, 3) if FORKED else (1,):
+        rows = run_sweep(spec, workers=workers).rows
+        assert [(r.concurrence, r.g2_zero, r.error) for r in rows] == want, workers
+
+
+def test_each_cell_of_a_batch_takes_its_own_resolved_floor():
+    # the faint emitter's floor is eps / rcond of its own solve, 3.6e-6; the
+    # well-conditioned cell before it in the batch has a far lower one
+    faint = FLAGGED_GRIDS["faint"][0].cells()[1]
+    params = [FullModelParams(n_max=faint.n_max), faint]
+    values, errors, _ = ddesim.sweep._observe(params, ("concurrence", "g2_zero"))
+    rows = [(*v[:2], e and f"{type(e).__name__}: {e}") for v, e in zip(values, errors)]
+    assert rows == [single_cell_row(p) for p in params]
+    assert rows[1][2].startswith("FaintEmitterError")
+
+
+def test_cell_seconds_include_an_equal_share_of_the_batch(monkeypatch):
+    # the batch's stacked passes, here slowed to 0.2 s, are split evenly
+    # over its four cells
+    stacked = ddesim.sweep._pair_concurrences
+
+    def slow(*args):
+        time.sleep(0.2)
+        return stacked(*args)
+
+    monkeypatch.setattr(ddesim.sweep, "_pair_concurrences", slow)
+    seconds = run_sweep(GridSpec(axis1=("delta0", -0.01, 0.01, 4))).cell_seconds
+    assert all(0.05 <= s < 0.1 for s in seconds), seconds
+
+
+def test_steady_state_is_bitwise_its_batch_entry():
+    # steady_state is the batch's chain with a stack of one
+    ls = [full_model_liouvillian(p) for p in GridSpec(
+        axis1=("delta0", -0.02, 0.02, 3), axis2=("eta1", 0.0, 0.1, 3)).cells()]
+    c, rconds = zip(*(_bordered_kernel(l) for l in ls))
+    batch = _steady_states(ls, np.stack(c), rconds)
+    for l, entry in zip(ls, batch):
+        alone = steady_state(l)
+        assert entry.liouvillian is alone.liouvillian is l
+        assert np.array_equal(entry.matrix, alone.matrix)
+        assert (entry.rcond, entry.residual) == (alone.rcond, alone.residual)
+
+
 def test_sweep_rejects_a_worker_count_that_is_not_a_positive_integer():
     spec = GridSpec(axis1=("delta0", -0.02, 0.02, 2))
     for workers in (0, -2, True, 2.5, "2", None):
@@ -268,11 +365,11 @@ def test_fan_out_starts_one_process_per_worker_and_strides_the_cells(
     # each cell reports the process that evaluated it, and whether the
     # generator table was already cached there; the cache is cleared first,
     # so only the parent's build before the fork can have filled it
-    def report(job):
+    def report(jobs):
         cached = ddesim.models._affine_generator.cache_info().currsize > 0
-        return (_cell_index(job), os.getpid(), cached), 0.0
+        return [((_cell_index(job), os.getpid(), cached), 0.0) for job in jobs]
 
-    monkeypatch.setattr(ddesim.sweep, "_evaluate_cell", report)
+    monkeypatch.setattr(ddesim.sweep, "_evaluate_cells", report)
     methods, started = [], []
     real_get_context = multiprocessing.get_context
     fork_context = real_get_context("fork")
@@ -306,12 +403,13 @@ def test_fan_out_starts_one_process_per_worker_and_strides_the_cells(
                                  KeyboardInterrupt()])
 def test_fan_out_raises_a_worker_exception_with_its_class(monkeypatch, bug):
     # the failing cell is in the second worker's share; the first finishes
-    def evaluate(job):
-        if _cell_index(job) == 3:
-            raise bug
-        return _cell_index(job), 0.0
+    def evaluate(jobs):
+        for job in jobs:
+            if _cell_index(job) == 3:
+                raise bug
+        return [(_cell_index(job), 0.0) for job in jobs]
 
-    monkeypatch.setattr(ddesim.sweep, "_evaluate_cell", evaluate)
+    monkeypatch.setattr(ddesim.sweep, "_evaluate_cells", evaluate)
     with deadline(60), pytest.raises(type(bug)) as raised:
         run_sweep(_index_grid(6), workers=2)
     # the worker's own traceback is kept as the cause
@@ -335,7 +433,7 @@ def test_fan_out_reports_an_exception_that_cannot_be_sent_back(monkeypatch):
     def solve(liouvillian):
         raise Odd(1, 2)
 
-    monkeypatch.setattr(ddesim.sweep, "steady_state", solve)
+    monkeypatch.setattr(ddesim.sweep, "_bordered_kernel", solve)
     with deadline(60), pytest.raises(RuntimeError, match=rf"^{Odd.__module__}\.Odd: 1/2$") as raised:
         run_sweep(small_grid_spec(), workers=2)
     assert isinstance(raised.value.__cause__, ddesim.sweep.WorkerTraceback)
@@ -348,14 +446,15 @@ def test_fan_out_raises_when_a_worker_dies_and_stops_the_others(monkeypatch):
     # worker 0 of 2 dies on its second cell while worker 1 is still on its
     # first; run_sweep must raise at once, not wait for worker 1, and leave
     # no process behind
-    def evaluate(job):
-        if _cell_index(job) == 2:
-            os._exit(7)
-        if _cell_index(job) == 1:
-            time.sleep(120)
-        return _cell_index(job), 0.0
+    def evaluate(jobs):
+        for job in jobs:
+            if _cell_index(job) == 2:
+                os._exit(7)
+            if _cell_index(job) == 1:
+                time.sleep(120)
+        return [(_cell_index(job), 0.0) for job in jobs]
 
-    monkeypatch.setattr(ddesim.sweep, "_evaluate_cell", evaluate)
+    monkeypatch.setattr(ddesim.sweep, "_evaluate_cells", evaluate)
     with deadline(60), pytest.raises(RuntimeError, match="worker 0 exited with code 7"):
         run_sweep(_index_grid(6), workers=2)
     assert multiprocessing.active_children() == []

@@ -22,6 +22,11 @@ import tempfile
 
 CUT = ("concurrence-map", "--set", "axis1=delta0", "--set", "axis1_min=-0.05",
        "--set", "axis1_max=0.05", "--set", "axis1_points=21")
+# a 6 x 6 concurrence map over the drives, where the settings after it flag cells
+DRIVES_6 = ("concurrence-map", "--set", "axis1=eta0", "--set", "axis1_min=0",
+            "--set", "axis1_max=0.1", "--set", "axis1_points=6",
+            "--set", "axis2=eta1", "--set", "axis2_min=0",
+            "--set", "axis2_max=0.1", "--set", "axis2_points=6")
 # name, arguments after `python -m ddesim`; every data command writes out.csv
 RUNS = (
     ("cut-21", CUT),
@@ -29,6 +34,10 @@ RUNS = (
     ("cut-21-nmax3", (*CUT, "--set", "n_max=3")),
     ("cut-21-nmax5", (*CUT, "--set", "n_max=5")),
     ("concurrence-map", ("concurrence-map",)),
+    # the eta0 = eta1 = 0 cell: DarkEmitterError after its concurrence
+    ("drives-6-dark", (*DRIVES_6, "--set", "g1=0")),
+    # the six eta1 = 0 cells: DegenerateSteadyStateError
+    ("drives-6-degenerate", (*DRIVES_6, "--set", "g1=0", "--set", "gamma_r1=0")),
     ("steady", ("steady",)),
     ("g2", ("g2",)),
     ("g2-delta0.02", ("g2", "--set", "delta0=0.02", "--set", "delta1=-0.02")),
