@@ -140,7 +140,7 @@ def cmd_steady(cfg: RunConfig):
     layout = liou.layout
     rho2q = partial_trace(rho_ss, (0, 1))
     conc = concurrence(rho2q).value
-    pops = dicke_populations(rho_ss)
+    pops = dicke_populations(rho2q)
 
     rows = [("concurrence", conc),
             ("rho_e", pops[0]), ("rho_s", pops[1]),

@@ -672,9 +672,8 @@ class _Band(NamedTuple):
     traced: np.ndarray
 
 
-@functools.lru_cache(maxsize=16)
 def _coordinate_order(dims: tuple[int, ...]) -> np.ndarray:
-    """The real coordinates sorted by (n_i + n_j, q_i + q_j, n_i - n_j), read-only.
+    """The real coordinates sorted by (n_i + n_j, q_i + q_j, n_i - n_j).
 
     A coordinate belongs to the entry (i, j), i <= j, of rho; n is the
     index of the last subsystem (the boson) and q the sum of the others
@@ -686,9 +685,7 @@ def _coordinate_order(dims: tuple[int, ...]) -> np.ndarray:
     n, q = digits[-1], digits[:-1].sum(axis=0)
     i, j = np.triu_indices(d, 1)
     i, j = np.concatenate((np.arange(d), i, i)), np.concatenate((np.arange(d), j, j))
-    order = np.lexsort((n[i] - n[j], q[i] + q[j], n[i] + n[j]))
-    order.flags.writeable = False
-    return order
+    return np.lexsort((n[i] - n[j], q[i] + q[j], n[i] + n[j]))
 
 
 class _Identity:
@@ -841,11 +838,6 @@ def _residuals(ls: list[Liouvillian], c: np.ndarray) -> np.ndarray:
     return np.maximum(np.abs(pairs).max(axis=1, initial=0.0), np.abs(r[:, :d]).max(axis=1))
 
 
-def _residual(l: Liouvillian, c: np.ndarray) -> float:
-    """_residuals of l alone, at the coordinates c."""
-    return float(_residuals([l], c[None])[0])
-
-
 def steady_state_residual(l: Liouvillian, rho: DensityMatrix) -> float:
     """Max-entry norm of L(rho); < 1e-10 for accepted steady states."""
-    return _residual(l, _hermitian_coords(vec(rho.matrix)))
+    return float(_residuals([l], _hermitian_coords(vec(rho.matrix))[None])[0])

@@ -6,8 +6,11 @@ uniform delay grid by liouvillian.correlation_samples (all propagation
 lives in liouvillian), and FFT extraction of the anti-bunching timescale.
 g2(0), defined in g2_zero, is a ratio of vdots of the steady state with
 cached operators; post_jump_state, which builds the conditional states, is
-its reference. g2_zero and g2_trace take l's SteadyState as solved, its
-rcond raising the faint-emitter floor; another state is checked first.
+its reference. One function, _emission_records, reads the bright/dark
+split, the weights and g2(0)'s terms of a stack of states: g2_zero and
+g2_trace call it with a stack of one, sweep._observe with a batch's
+states. g2_zero and g2_trace take l's SteadyState as solved, its rcond
+raising the faint-emitter floor; another state is checked first.
 Times are in units of the inverse boson decay rate; absolute seconds enter
 only through the configured rate in Hz.
 """
@@ -163,58 +166,60 @@ class CorrelationTrace:
 
 
 def _emission_setup(l: Liouvillian, rho_ss: DensityMatrix):
-    """Bright/dark split, bright weights w_i = <n_i>, asymptote |bright| <N>
-    and raw zero-delay value, the sum of <n_0 n_1> / w_i over bright i, from
-    vdots with the Hermitian operators of the emission table
-    (_emission_split). A state that is not l's SteadyState is checked
-    against l first.
+    """The emission record of rho_ss (_emission_records), raising its error.
+
+    A state that is not l's SteadyState is checked against l first.
     """
     if not (isinstance(rho_ss, SteadyState) and rho_ss.liouvillian is l):
         residual = steady_state_residual(l, rho_ss)
         if not residual <= 1e-8:
             raise ValueError(f"rho_ss is not a steady state of l (residual {residual:.3e})")
-    return _emission_split(_emission_means(rho_ss.layout, rho_ss.matrix[None])[0],
-                           _weight_floor(rho_ss))
+    record, = _emission_records([rho_ss], rho_ss.matrix[None])
+    if isinstance(record, NumericalError):
+        raise record
+    return record
 
 
-def _weight_floor(rho_ss: DensityMatrix) -> float:
-    """Smallest resolved bright weight: WEIGHT_FLOOR, or a SteadyState's larger eps / rcond."""
-    if isinstance(rho_ss, SteadyState):
-        return max(WEIGHT_FLOOR, np.finfo(float).eps / rho_ss.rcond)
-    return WEIGHT_FLOOR
+def _emission_records(states: list[DensityMatrix], matrices: np.ndarray
+                      ) -> list[tuple | NumericalError]:
+    """The emission record of each state, or the NumericalError that rejects it.
 
-
-def _emission_means(layout, states: np.ndarray) -> list[list[float]]:
-    """<n_0 n_1>, <n_0>, <n_1> and <N> of each state matrix of the (k, d, d) stack.
-
-    Each is one np.vdot with the operator of the emission table.
+    matrices stacks the states' matrices. A record is (bright, dark,
+    weights, asymptote, raw_zero): the bright and dark emitters, the bright
+    weights w_i = <n_i>, the asymptote |bright| <N> and the raw zero-delay
+    value, the sum of <n_0 n_1> / w_i over bright i. The means are one
+    np.vdot each with the Hermitian operators of the emission table. w_i
+    below DARK_TOL is dark; a bright w_i below the resolved floor,
+    WEIGHT_FLOOR or a SteadyState's larger eps / rcond, is a
+    FaintEmitterError, two dark ones a DarkEmitterError.
     """
-    _, numbers, coincidence, number_sum = _emission_operators(layout)
+    _, numbers, coincidence, number_sum = _emission_operators(states[0].layout)
     operators = (coincidence, *numbers, number_sum)
-    return [[float(np.vdot(op, rho).real) for op in operators] for rho in states]
-
-
-def _emission_split(means: list[float], floor: float):
-    """_emission_setup's tuple from one state's _emission_means and its resolved floor.
-
-    w_i below DARK_TOL is dark; a bright w_i below floor raises
-    FaintEmitterError, two dark ones DarkEmitterError.
-    """
-    joint, *single, total = means
-    bright, dark, weights, raw_zero = [], [], [], 0
-    for i, weight in enumerate(single):
-        if weight < DARK_TOL:
-            dark.append(i)
-            continue
-        if weight < floor:
-            raise FaintEmitterError(
-                f"emitter {i} weight {weight:.3e} is below the resolved floor {floor:.3g}")
-        bright.append(i)
-        weights.append(weight)
-        raw_zero += joint / weight
-    if not bright:
-        raise DarkEmitterError("both emitters dark: no emission statistics exist")
-    return tuple(bright), tuple(dark), tuple(weights), len(bright) * total, raw_zero
+    records = []
+    for state, rho in zip(states, matrices):
+        joint, *single, total = [float(np.vdot(op, rho).real) for op in operators]
+        floor = WEIGHT_FLOOR
+        if isinstance(state, SteadyState):
+            floor = max(WEIGHT_FLOOR, np.finfo(float).eps / state.rcond)
+        bright, dark, weights, raw_zero = [], [], [], 0
+        for i, weight in enumerate(single):
+            if weight < DARK_TOL:
+                dark.append(i)
+            elif weight < floor:
+                records.append(FaintEmitterError(
+                    f"emitter {i} weight {weight:.3e} is below the resolved floor {floor:.3g}"))
+                break
+            else:
+                bright.append(i)
+                weights.append(weight)
+                raw_zero += joint / weight
+        else:  # no faint emitter
+            if not bright:
+                records.append(DarkEmitterError("both emitters dark: no emission statistics exist"))
+            else:
+                records.append((tuple(bright), tuple(dark), tuple(weights), len(bright) * total,
+                                raw_zero))
+    return records
 
 
 def g2_zero(l: Liouvillian, rho_ss: DensityMatrix) -> float:
@@ -228,19 +233,6 @@ def g2_zero(l: Liouvillian, rho_ss: DensityMatrix) -> float:
     """
     _, _, _, asymptote, raw_zero = _emission_setup(l, rho_ss)
     return raw_zero / asymptote
-
-
-def _g2_zeros(states: list[SteadyState], matrices: np.ndarray) -> list[float | NumericalError]:
-    """g2_zero of each solved state, or its NumericalError; matrices stacks their matrices."""
-    out = []
-    for state, means in zip(states, _emission_means(states[0].layout, matrices)):
-        try:
-            _, _, _, asymptote, raw_zero = _emission_split(means, _weight_floor(state))
-        except NumericalError as exc:
-            out.append(exc)
-        else:
-            out.append(raw_zero / asymptote)
-    return out
 
 
 def g2_trace(l: Liouvillian, rho_ss: DensityMatrix, tau_max: float,

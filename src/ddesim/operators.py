@@ -34,14 +34,6 @@ HERM_TOL = 1e-10
 EIG_TOL = 1e-9
 
 
-def hermitize(m: np.ndarray) -> np.ndarray:
-    """Return the Hermitian part (m + m^dagger)/2 of a square matrix."""
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"hermitize expects a square matrix, got shape {m.shape}")
-    return 0.5 * (m + m.conj().T)
-
-
 def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
     """Check Hermiticity within an explicit entrywise tolerance."""
     m = np.asarray(m)
@@ -99,13 +91,14 @@ def _state_errors(m: np.ndarray) -> list[ValueError | None]:
     m - m+ within HERM_TOL of 0, and the smallest eigenvalue of the
     Hermitian part at least -EIG_TOL (NegativeEigenvalueError). Each is
     written so that NaN fails it, which leaves only finite matrices for the
-    one eigvalsh.
+    one eigvalsh; an infinite entry makes NaN (inf - inf) without a warning.
     """
     trace = m.trace(axis1=1, axis2=2)
     mh = m.conj().swapaxes(1, 2)
-    drift = np.abs(trace - 1.0)
-    asymmetry = np.abs(m - mh).max(axis=(1, 2))
-    hermitian = 0.5 * (m + mh)
+    with np.errstate(invalid="ignore"):
+        drift = np.abs(trace - 1.0)
+        asymmetry = np.abs(m - mh).max(axis=(1, 2))
+        hermitian = 0.5 * (m + mh)
     even = (drift <= TRACE_TOL) & (asymmetry <= HERM_TOL)
     if not even.all():  # a matrix that fails the first two checks is not diagonalized
         hermitian[~even] = 0.0

@@ -51,7 +51,7 @@ from .models import _FLOAT_FIELDS, FullModelParams, full_model_liouvillian
 from .observables import (
     DEFAULT_N_SAMPLES,
     _emission_operators,
-    _g2_zeros,
+    _emission_records,
     _pair_concurrences,
     default_tau_max,
     extract_timescale,
@@ -162,8 +162,11 @@ def _observe(params: list[FullModelParams], observables) -> tuple[list, list, np
     which keeps the values computed before it. Per cell run the generator,
     its LU (_bordered_kernel) and the timescale's g2_trace; once for the
     batch run the residuals and state checks (_steady_states), the reduced
-    states and their concurrences, and g2(0). A cell's seconds are its own
-    work plus an equal share of the batch's.
+    states and their concurrences, and the emission records
+    (observables._emission_records, the one bright/dark split that g2_zero
+    also reads), whose raw_zero / asymptote is g2(0) and whose error flags
+    the cell. A cell's seconds are its own work plus an equal share of the
+    batch's.
     """
     n = len(params)
     values, errors, seconds = [[None] * 3 for _ in params], [None] * n, np.zeros(n)
@@ -193,11 +196,12 @@ def _observe(params: list[FullModelParams], observables) -> tuple[list, list, np
             for k, value in zip(states, _pair_concurrences(matrices, ls[0].layout.dims)):
                 values[k][0] = float(value)
         if "g2_zero" in observables:
-            for k, value in zip(states, _g2_zeros(list(states.values()), matrices)):
-                if isinstance(value, NumericalError):
-                    errors[k] = value
+            for k, record in zip(states, _emission_records(list(states.values()), matrices)):
+                if isinstance(record, NumericalError):
+                    errors[k] = record
                 else:
-                    values[k][1] = value
+                    _, _, _, asymptote, raw_zero = record
+                    values[k][1] = raw_zero / asymptote
     seconds += (time.perf_counter() - start) / n
 
     if "timescale" in observables:

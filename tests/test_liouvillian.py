@@ -677,7 +677,7 @@ def test_steady_state_carries_the_rcond_and_residual_of_its_solve(n_max):
     # the residual of the solved coordinates; read from the matrix instead,
     # it differs by the roundoff of the round trip
     c, _ = liouvillian_module._bordered_kernel(liou)
-    assert rho.residual == liouvillian_module._residual(liou, c) < 1e-10
+    assert rho.residual == liouvillian_module._residuals([liou], c[None])[0] < 1e-10
     bound = 8 * np.finfo(float).eps * np.abs(g).sum(axis=1).max()
     assert abs(rho.residual - steady_state_residual(liou, rho)) <= bound
     assert np.abs(c - bordered_oracle(liou)[0]).max() < 1e-12

@@ -1,6 +1,7 @@
 """Tests for concurrence, post-emission states, g2(tau), and timescale extraction."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -32,9 +33,9 @@ from ddesim import (
 import ddesim.observables
 from ddesim.liouvillian import TAYLOR_THETA, _block_length, unvec, vec
 from ddesim.models import adiabatic_eliminate, rabi_frequency
-from ddesim.observables import WEIGHT_FLOOR
+from ddesim.observables import WEIGHT_FLOOR, _emission_records, _emission_setup
 from ddesim.operators import QUBIT_NUMBER
-from ddesim.sweep import _evaluate_cell
+from ddesim.sweep import _evaluate_cell, _observe
 from test_liouvillian import alpha_3
 
 SYY = np.kron(np.array([[0, -1j], [1j, 0]]), np.array([[0, -1j], [1j, 0]]))
@@ -321,6 +322,33 @@ def test_faint_emitter_under_the_resolved_floor_is_flagged():
         g2_trace(rho.liouvillian, rho, default_tau_max(p), 256)
     cell, _ = _evaluate_cell((p, ("concurrence", "g2_zero"), ()))
     assert cell.error.startswith("FaintEmitterError") and cell.g2_zero is None
+
+
+def test_mixed_stack_of_emission_records_matches_single_states():
+    # one n_max 3 stack: a bright pair, a dark emitter 1, a faint emitter 1
+    # and two dark emitters; each record (or error) is that of the state
+    # alone, and a batch's g2(0) is g2_zero's
+    params = [FullModelParams(n_max=3), ILL_CONDITIONED,
+              dataclasses.replace(ILL_CONDITIONED, eta1=1e-6),
+              FullModelParams(eta0=0.0, eta1=0.0, n_max=3)]
+    states = [steady_state(full_model_liouvillian(p)) for p in params]
+    records = _emission_records(states, np.stack([s.matrix for s in states]))
+    values, errors, _ = _observe(params, ("g2_zero",))
+    kinds = []
+    for state, record, value, error in zip(states, records, values, errors):
+        try:
+            alone = _emission_setup(state.liouvillian, state)
+        except NumericalError as exc:
+            kinds.append(type(exc))
+            assert type(record) is type(exc) and str(record) == str(exc)
+            assert type(error) is type(exc) and str(error) == str(exc)
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                g2_zero(state.liouvillian, state)
+        else:
+            kinds.append(record[0])
+            assert record == alone and error is None
+            assert value[1] == g2_zero(state.liouvillian, state)
+    assert kinds == [(0, 1), (0,), FaintEmitterError, DarkEmitterError]
 
 
 def test_g2_trace_grid_validation():

@@ -122,6 +122,18 @@ def test_density_matrix_rejects_nan():
     assert [type(e) for e in errors] == [ValueError, type(None), ValueError]
 
 
+def test_density_matrix_rejects_inf_without_warning():
+    # inf - inf in the Hermiticity check is NaN, which fails it; the suite
+    # turns a RuntimeWarning into an error, so none may be emitted first
+    layout = SpaceLayout((2,))
+    inf = np.inf
+    for m, message in ((np.array([[inf, 0], [0, 0.5]]), r"trace \(inf\+0j\) deviates"),
+                       (np.array([[0.5, inf], [inf, 0.5]]), "not Hermitian within 1e-10"),
+                       (np.array([[0.5, 0], [0, -inf]]), r"trace \(-inf\+0j\) deviates")):
+        with pytest.raises(ValueError, match=message):
+            DensityMatrix(layout, m)
+
+
 def test_density_matrix_pure_and_expect():
     layout = SpaceLayout((2, 2))
     ket = np.zeros(4)

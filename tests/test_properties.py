@@ -35,7 +35,7 @@ from ddesim.liouvillian import (
     _hermitian_coords,
     _hermitian_vec,
     _coordinate_order,
-    _residual,
+    _residuals,
     unvec,
     vec,
 )
@@ -285,7 +285,7 @@ def test_residual_matches_complex_expansion_bit_for_bit(p, seed):
               _hermitian_coords(vec(random_hermitian(rng, liou.dim)))):
         r = np.bincount(row, liou.values * c[col], minlength=liou.dim ** 2)
         expanded = float(np.max(np.abs(_hermitian_vec(r))))
-        assert _residual(liou, c) == expanded
+        assert _residuals([liou], c[None])[0] == expanded
 
 
 def bordered_solves(liou):

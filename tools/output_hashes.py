@@ -27,6 +27,11 @@ DRIVES_6 = ("concurrence-map", "--set", "axis1=eta0", "--set", "axis1_min=0",
             "--set", "axis1_max=0.1", "--set", "axis1_points=6",
             "--set", "axis2=eta1", "--set", "axis2_min=0",
             "--set", "axis2_max=0.1", "--set", "axis2_points=6")
+# ILL_CONDITIONED of tests/test_observables.py: emitter 1 is dark, the LU near-degenerate
+ILL_CONDITIONED = ("--set", "delta0=-0.0918", "--set", "delta1=0.00725", "--set", "delta_a=0.2596",
+                   "--set", "g0=0.0966", "--set", "g1=0.0", "--set", "eta0=0.0186",
+                   "--set", "eta1=0.0", "--set", "eta_a=0.2828", "--set", "gamma_r0=6.68e-9",
+                   "--set", "gamma_r1=3.15e-9", "--set", "gamma_d1=2.34e-9", "--set", "n_max=3")
 # name, arguments after `python -m ddesim`; every data command writes out.csv
 RUNS = (
     ("cut-21", CUT),
@@ -38,6 +43,12 @@ RUNS = (
     ("drives-6-dark", (*DRIVES_6, "--set", "g1=0")),
     # the six eta1 = 0 cells: DegenerateSteadyStateError
     ("drives-6-degenerate", (*DRIVES_6, "--set", "g1=0", "--set", "gamma_r1=0")),
+    # cell 0 (eta1 = 1e-6): FaintEmitterError; cells 1-3: g2(0) = 0.5
+    ("cut-faint", ("concurrence-map", *ILL_CONDITIONED, "--set", "axis1=eta1",
+                   "--set", "axis1_min=1e-6", "--set", "axis1_max=1e-2",
+                   "--set", "axis1_points=4")),
+    # FaintEmitterError: exit 2, no CSV
+    ("g2-faint", ("g2", *ILL_CONDITIONED, "--set", "eta1=1e-6")),
     ("steady", ("steady",)),
     ("g2", ("g2",)),
     ("g2-delta0.02", ("g2", "--set", "delta0=0.02", "--set", "delta1=-0.02")),
